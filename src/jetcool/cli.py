@@ -44,7 +44,8 @@ def _fmt(x) -> str:
 
 
 def _read_config(path: str) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                   interpolation=None)
     if not cp.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
     return cp
@@ -249,8 +250,8 @@ def _write_sweep_csv(rows, path: Path) -> None:
         for row in rows:
             if row.report is None:
                 base = [row.n, row.di_over_L, row.do_over_L, row.H_over_L,
-                        row.t_over_L, 0.0] + [""] * 9
-                fh.write(",".join(_fmt(v) for v in base[:6])
+                        row.t_over_L, 0.0]
+                fh.write(",".join(_fmt(v) for v in base)
                          + "," + ",".join([""] * 9)
                          + f",{row.status},\n")
                 continue
@@ -419,11 +420,8 @@ def cmd_topo(args) -> int:
     out = _out_dir(args)
     topo.export_density(result.eps, out / "density.csv", out / "density.pgm")
     topo.write_history(result.history, out / "history.csv")
-    solution = topo.solve_flow(
-        problem.grid, result.eps, problem.fluid, q=problem.q,
-        alpha_assignment=problem.alpha_assignment)
-    topo.write_fields(solution, out / "fields.csv")
-    flows = solution.outlet_flows()
+    topo.write_fields(result.solution, out / "fields.csv")
+    flows = result.solution.outlet_flows()
     print(f"status={result.status} iterations={len(result.history) - 1} "
           f"J={_fmt(result.history[-1].J)}")
     print("outlet flow shares:", " ".join(

@@ -45,8 +45,9 @@ class Segment:
                 f"bad segment range [{self.lo}, {self.hi})")
         if self.profile not in ("constant", "parabolic"):
             raise InvalidInputError(f"unknown profile {self.profile!r}")
-        if self.kind in ("inlet", "outlet_velocity") and self.value < 0:
-            raise InvalidInputError("segment speed must be >= 0")
+        if (self.kind in ("inlet", "outlet_velocity")
+                and not 0 <= self.value < np.inf):
+            raise InvalidInputError("segment speed must be finite and >= 0")
 
     def node_values(self) -> np.ndarray:
         """Normal speeds at the face midpoints of the segment."""
@@ -67,8 +68,8 @@ class Grid2D:
                  segments: list[Segment] | tuple[Segment, ...] = ()):
         if nx < 1 or ny < 1:
             raise InvalidInputError("nx and ny must be >= 1")
-        if dx <= 0 or dy <= 0:
-            raise InvalidInputError("dx and dy must be > 0")
+        if not (0 < dx < np.inf and 0 < dy < np.inf):
+            raise InvalidInputError("dx and dy must be finite and > 0")
         self.nx, self.ny = int(nx), int(ny)
         self.dx, self.dy = float(dx), float(dy)
         self.segments = tuple(segments)
@@ -175,7 +176,7 @@ class DensityField:
         object.__setattr__(self, "eps", arr)
         if arr.ndim != 2:
             raise InvalidInputError("eps must be a 2D array")
-        if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
+        if not np.all((arr >= -1e-12) & (arr <= 1 + 1e-12)):
             raise InvalidInputError("eps must lie in [0, 1]")
 
     @property

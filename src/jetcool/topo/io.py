@@ -59,7 +59,8 @@ def _parse_segment(line: str) -> Segment:
 
 def parse_problem_file(path: str | Path) -> tuple[TopoProblem, int, tuple]:
     """Read a problem definition; returns (problem, max_iters, q_schedule)."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                   interpolation=None)
     read = cp.read(path)
     if not read:
         raise InvalidInputError(f"cannot read problem file {path}")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -11,7 +11,7 @@ from ..errors import InvalidInputError
 from .grid import DensityField
 from .objective import gradient, objective
 from .problem import TopoProblem
-from .solver import StokesOperator
+from .solver import FlowSolution, StokesOperator
 
 MOVE_LIMIT = 0.2
 BACKTRACK_TRIES = 10
@@ -32,6 +32,7 @@ class OptimizeResult:
     eps: DensityField
     history: list[HistoryRow]
     status: str                      # converged | max_iters | stationary
+    solution: FlowSolution           # flow of the last accepted iterate
     warnings: tuple[str, ...] = ()
 
     @property
@@ -74,23 +75,6 @@ def optimize(problem: TopoProblem, eps0: DensityField | None = None,
     0.1)): each stage starts from the previous stage's design, sharpening
     intermediate densities toward 0/1.
     """
-    if q_schedule:
-        import dataclasses
-        eps = eps0
-        histories: list[HistoryRow] = []
-        offset = 0
-        result = None
-        for q in q_schedule:
-            stage = dataclasses.replace(problem, q=q)
-            result = optimize(stage, eps, max_iters=max_iters,
-                              move_limit=move_limit)
-            histories.extend(HistoryRow(r.iteration + offset, r.J, r.J1,
-                                        r.J2, r.volume)
-                             for r in result.history)
-            offset += len(result.history)
-            eps = result.eps
-        return OptimizeResult(eps=result.eps, history=histories,
-                              status=result.status, warnings=result.warnings)
     grid = problem.grid
     if eps0 is None:
         eps0 = DensityField.uniform(grid, problem.volume_fraction)
@@ -99,7 +83,23 @@ def optimize(problem: TopoProblem, eps0: DensityField | None = None,
             f"eps0 shape {eps0.eps.shape} != grid {(grid.nx, grid.ny)}")
 
     op = StokesOperator(grid, problem.mu)
-    eps = _project(eps0.eps, eps0.eps, problem.volume_fraction, 1.0)
+    eps = eps0.eps
+    history: list[HistoryRow] = []
+    for q in q_schedule or (problem.q,):
+        stage = replace(problem, q=q)
+        eps, sol, status, warnings = _descend(stage, op, eps, max_iters,
+                                              move_limit, history)
+    return OptimizeResult(eps=DensityField(eps), history=history,
+                          status=status, solution=sol,
+                          warnings=tuple(warnings))
+
+
+def _descend(problem: TopoProblem, op: StokesOperator, eps0: np.ndarray,
+             max_iters: int, move_limit: float, history: list[HistoryRow]):
+    """One continuation stage from eps0, appending its rows to history;
+    returns (eps, solution, status, warnings) of the last accepted iterate."""
+    offset = len(history)
+    eps = _project(eps0, eps0, problem.volume_fraction, 1.0)
 
     def evaluate(e: np.ndarray):
         field = DensityField(e)
@@ -107,7 +107,8 @@ def optimize(problem: TopoProblem, eps0: DensityField | None = None,
         return field, sol, objective(problem, field, sol)
 
     field, sol, val = evaluate(eps)
-    history = [HistoryRow(0, val.J, val.J1, val.J2, float(eps.mean()))]
+    history.append(HistoryRow(offset, val.J, val.J1, val.J2,
+                              float(eps.mean())))
     warnings: list[str] = []
     status = "max_iters"
     flat = 0
@@ -138,11 +139,11 @@ def optimize(problem: TopoProblem, eps0: DensityField | None = None,
             break
         rel_drop = abs(val.J - c_val.J) / max(abs(val.J), 1e-300)
         eps, field, sol, val = cand, c_field, c_sol, c_val
-        history.append(HistoryRow(it, val.J, val.J1, val.J2, float(eps.mean())))
+        history.append(HistoryRow(offset + it, val.J, val.J1, val.J2,
+                                  float(eps.mean())))
         flat = flat + 1 if rel_drop < FLAT_REL_TOL else 0
         if flat >= FLAT_RUN:
             status = "converged"
             break
 
-    return OptimizeResult(eps=DensityField(eps), history=history,
-                          status=status, warnings=tuple(warnings))
+    return eps, sol, status, warnings

@@ -36,10 +36,10 @@ def inverse_permeability(eps, q: float, alpha_max: float,
     eps may be a scalar or array in [0, 1]; q > 0 tunes how attractive
     intermediate densities are (small q biases strongly toward fluid).
     """
-    if q <= 0:
+    if not q > 0:
         raise InvalidInputError(f"q must be > 0, got {q}")
     arr = np.asarray(eps, dtype=float)
-    if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
+    if not np.all((arr >= -1e-12) & (arr <= 1 + 1e-12)):
         raise InvalidInputError("eps must lie in [0, 1]")
     s = arr * (1.0 + q) / (arr + q)
     # blend form keeps the endpoints exact despite the magnitude gap
@@ -84,7 +84,7 @@ class TopoProblem:
         if not 0.0 < self.volume_fraction <= 1.0:
             raise InvalidInputError(
                 f"volume_fraction must be in (0, 1], got {self.volume_fraction}")
-        if self.q <= 0:
+        if not self.q > 0:
             raise InvalidInputError(f"q must be > 0, got {self.q}")
         if self.alpha_assignment not in ("fluid", "literal"):
             raise InvalidInputError(

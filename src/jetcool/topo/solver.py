@@ -12,6 +12,11 @@ at velocity-type boundaries uses linear-reflection ghosts (formal order 2 of
 the scheme overall); pressure outlets anchor p = 0 at the boundary with a
 half-cell pressure gradient and zero normal gradient of the boundary-normal
 velocity (a first-order traction-free outflow).
+
+Every operator is a Kronecker product of the 1-D stencils below (the
+vectorized assembly of Andreassen et al. 2011, "Efficient topology
+optimization in MATLAB using 88 lines of code"). Faces are numbered u faces
+first, then v faces, each in C order of its (x, y) array; cells in C order.
 """
 
 from __future__ import annotations
@@ -24,14 +29,63 @@ import scipy.sparse.linalg as spla
 
 from ..errors import InvalidInputError, SolverError
 from ..props import FluidProps
-from .grid import DensityField, Grid2D
-from .problem import default_alpha_bounds, inverse_permeability
+from .grid import SIDES, DensityField, Grid2D
+from .problem import TopoProblem
 
 _RESIDUAL_TOL = 1e-10
-
-# tangential ghost modes
-_REFLECT, _ZEROGRAD = 0, 1
 _PRESSURE_KIND = 3  # KINDS.index("outlet_pressure")
+
+
+# 1-D stencils along an axis of n cells and n + 1 faces
+
+
+def _second_difference(n: int, zero_gradient_ends: bool) -> sp.csr_matrix:
+    """[-1, 2, -1] on n nodes. Zero-gradient ends copy the end node into the
+    ghost outside it (normal velocity at a pressure outlet); otherwise the
+    ghost term is left to a diagonal correction (tangential velocity)."""
+    main = np.full(n, 2.0)
+    if zero_gradient_ends:
+        main[[0, -1]] = 1.0
+    return sp.diags([-1.0, main, -1.0], [-1, 0, 1], shape=(n, n),
+                    format="csr")
+
+
+def _half_cell_gradient(n: int) -> sp.csr_matrix:
+    """Cell-to-face difference, (n + 1) x n. An end face differences its one
+    cell against a zero half a cell away (p = 0 at a pressure outlet,
+    u = 0 at a wall)."""
+    grad = sp.diags([1.0, -1.0], [0, -1], shape=(n + 1, n), format="lil")
+    grad[0, 0], grad[n, n - 1] = 2.0, -2.0
+    return grad.tocsr()
+
+
+def _divergence(n: int) -> sp.csr_matrix:
+    """Face-to-cell difference, n x (n + 1)."""
+    return sp.diags([-1.0, 1.0], [0, 1], shape=(n, n + 1), format="csr")
+
+
+def _face_average(n: int) -> sp.csr_matrix:
+    """Cell-to-face mean, (n + 1) x n; an end face takes its one cell."""
+    avg = sp.diags([0.5, 0.5], [0, -1], shape=(n + 1, n), format="lil")
+    avg[0, 0] = avg[n, n - 1] = 1.0
+    return avg.tocsr()
+
+
+def _trapezoid(n: int) -> np.ndarray:
+    """Share of a cell width that each of the n + 1 faces controls."""
+    w = np.ones(n + 1)
+    w[[0, -1]] = 0.5
+    return w
+
+
+def _side_faces(grid: Grid2D, side: str) -> tuple[np.ndarray, float]:
+    """Face numbers along one side and the sign of its outward normal."""
+    nx, ny = grid.nx, grid.ny
+    if side in ("left", "right"):
+        i, sign = (0, -1.0) if side == "left" else (nx, 1.0)
+        return i * ny + np.arange(ny), sign
+    j, sign = (0, -1.0) if side == "bottom" else (ny, 1.0)
+    return (nx + 1) * ny + np.arange(nx) * (ny + 1) + j, sign
 
 
 class StokesOperator:
@@ -42,387 +96,111 @@ class StokesOperator:
             raise InvalidInputError(f"viscosity must be > 0, got {mu}")
         self.grid = grid
         self.mu = mu
-        self._index_maps()
-        self._assemble_base()
-        self._build_objective_structures()
+        nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
+        nfu, nc = (nx + 1) * ny, grid.n_cells
+        self.n_faces = nfu + nx * (ny + 1)
+        cxx, cyy = mu / dx ** 2, mu / dy ** 2
+        eye = sp.identity
 
-    # ------------------------------------------------------------------
-    # unknown numbering
+        def kron(a, b):
+            return sp.kron(a, b, format="csr")  # BSR would store zeros
 
-    def _index_maps(self) -> None:
-        g = self.grid
-        nx, ny = g.nx, g.ny
+        # A tangential-velocity node on the boundary has a zero-gradient
+        # ghost when every boundary cell next to it is a pressure outlet
+        # (their face average is then exactly 1), and a reflecting ghost
+        # (zero wall velocity) otherwise.
+        zero_grad = {side: _face_average(kind.size)
+                     @ (kind == _PRESSURE_KIND).astype(float) == 1.0
+                     for side, kind in grid.side_kind.items()}
 
-        self.u_dir = np.zeros((nx + 1, ny))      # Dirichlet values
-        self.u_free = np.ones((nx + 1, ny), dtype=bool)
-        self.v_dir = np.zeros((nx, ny + 1))
-        self.v_free = np.ones((nx, ny + 1), dtype=bool)
+        def ghost(side, shape, nodes, c):
+            diag = np.zeros(shape)
+            diag[nodes] = np.where(zero_grad[side], -c, c)
+            return sp.diags(diag.ravel())
 
-        for j in range(ny):
-            for i, side in ((0, "left"), (nx, "right")):
-                if g.side_kind[side][j] != _PRESSURE_KIND:
-                    self.u_free[i, j] = False
-                    self.u_dir[i, j] = g.side_value[side][j]
-        for i in range(nx):
-            for j, side in ((0, "bottom"), (ny, "top")):
-                if g.side_kind[side][i] != _PRESSURE_KIND:
-                    self.v_free[i, j] = False
-                    self.v_dir[i, j] = g.side_value[side][i]
+        # momentum rows over all faces, continuity rows over all cells
+        lap_u = (kron(cxx * _second_difference(nx + 1, True), eye(ny))
+                 + kron(eye(nx + 1), cyy * _second_difference(ny, False))
+                 + ghost("bottom", (nx + 1, ny), np.s_[:, 0], cyy)
+                 + ghost("top", (nx + 1, ny), np.s_[:, -1], cyy))
+        lap_v = (kron(eye(nx), cyy * _second_difference(ny + 1, True))
+                 + kron(cxx * _second_difference(nx, False), eye(ny + 1))
+                 + ghost("left", (nx, ny + 1), np.s_[0, :], cxx)
+                 + ghost("right", (nx, ny + 1), np.s_[-1, :], cxx))
+        div_x = kron(_divergence(nx) / dx, eye(ny))
+        div_y = kron(eye(nx), _divergence(ny) / dy)
+        continuity = sp.hstack([div_x, div_y, sp.csr_matrix((nc, nc))])
+        if not grid.has_pressure_boundary:
+            # all-velocity boundaries fix p only up to a constant: the first
+            # cell's row anchors its pressure instead
+            continuity = (sp.diags(np.r_[0.0, np.ones(nc - 1)]) @ continuity
+                          + sp.csr_matrix(([1.0], ([0], [self.n_faces])),
+                                          shape=continuity.shape))
+        grad_x = kron(_half_cell_gradient(nx) / dx, eye(ny))
+        grad_y = kron(eye(nx), _half_cell_gradient(ny) / dy)
+        full = sp.vstack([sp.bmat([[lap_u, None, grad_x],
+                                   [None, lap_v, grad_y]]),
+                          continuity]).tocsr()
 
-        self.u_idx = np.full((nx + 1, ny), -1, dtype=int)
-        self.v_idx = np.full((nx, ny + 1), -1, dtype=int)
-        self.u_idx[self.u_free] = np.arange(int(self.u_free.sum()))
-        self.n_u = int(self.u_free.sum())
-        self.v_idx[self.v_free] = self.n_u + np.arange(int(self.v_free.sum()))
-        self.n_v = int(self.v_free.sum())
-        self.n_vel = self.n_u + self.n_v
-        self.n_unknowns = self.n_vel + g.n_cells
-        self.p_offset = self.n_vel
+        # eliminate the Dirichlet faces: x_full = select @ x + dirichlet
+        free = np.ones(self.n_faces + nc, dtype=bool)
+        self.dirichlet_vec = np.zeros(self.n_faces)
+        for side in SIDES:
+            faces, _ = _side_faces(grid, side)
+            fixed = grid.side_kind[side] != _PRESSURE_KIND
+            free[faces[fixed]] = False
+            self.dirichlet_vec[faces[fixed]] = grid.side_value[side][fixed]
+        select = sp.identity(free.size, format="csr")[:, free]
+        self.k_base = (select.T @ full @ select).tocsr()
+        # 0.0 - (...) keeps -0.0 out of the right-hand side
+        self.rhs_base = 0.0 - select.T @ (
+            full @ np.r_[self.dirichlet_vec, np.zeros(nc)])
+        self.scatter = select[:self.n_faces]
+        self.n_unknowns = select.shape[1]
+        self.n_u = int(free[:nfu].sum())
+        self.n_vel = self.p_offset = self.n_unknowns - nc
 
-    def _p_col(self, i: int, j: int) -> int:
-        return self.p_offset + i * self.grid.ny + j
+        # Brinkman drag: cell alpha averaged to the faces
+        self.alpha_face = sp.vstack([kron(_face_average(nx), eye(ny)),
+                                     kron(eye(nx), _face_average(ny))]).tocsr()
+        self.alpha_avg = (self.scatter.T @ self.alpha_face).tocsr()
+        self.face_area = dx * dy * np.r_[
+            np.kron(_trapezoid(nx), np.ones(ny)),
+            np.kron(np.ones(nx), _trapezoid(ny))]
+        self.is_u_face = np.arange(self.n_faces) < nfu
 
-    def _cell(self, i: int, j: int) -> int:
-        return i * self.grid.ny + j
-
-    def _tangential_mode_u(self, i: int, boundary: str) -> int:
-        """Ghost mode for u at the bottom/top boundary near x = i*dx."""
-        g = self.grid
-        kinds = g.side_kind[boundary]
-        adj = [kinds[ii] for ii in (i - 1, i) if 0 <= ii < g.nx]
-        return _ZEROGRAD if all(k == _PRESSURE_KIND for k in adj) else _REFLECT
-
-    def _tangential_mode_v(self, j: int, boundary: str) -> int:
-        g = self.grid
-        kinds = g.side_kind[boundary]
-        adj = [kinds[jj] for jj in (j - 1, j) if 0 <= jj < g.ny]
-        return _ZEROGRAD if all(k == _PRESSURE_KIND for k in adj) else _REFLECT
-
-    # ------------------------------------------------------------------
-    # base matrix (everything except the Brinkman diagonal)
-
-    def _assemble_base(self) -> None:
-        g = self.grid
-        nx, ny, dx, dy = g.nx, g.ny, g.dx, g.dy
-        mu = self.mu
-        rows, cols, vals = [], [], []
-        rhs = np.zeros(self.n_unknowns)
-        # averaging weights cell->velocity-unknown for the drag diagonal
-        a_rows, a_cols, a_vals = [], [], []
-
-        def add(r, c, v):
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-
-        def u_at(i, j):
-            """(is_free, index_or_value) for a u node."""
-            if self.u_free[i, j]:
-                return True, self.u_idx[i, j]
-            return False, self.u_dir[i, j]
-
-        def v_at(i, j):
-            if self.v_free[i, j]:
-                return True, self.v_idx[i, j]
-            return False, self.v_dir[i, j]
-
-        # --- u momentum rows ------------------------------------------
-        for i in range(nx + 1):
-            for j in range(ny):
-                if not self.u_free[i, j]:
-                    continue
-                row = self.u_idx[i, j]
-                center = 0.0
-                # drag alpha averaged from adjacent cells
-                if 0 < i < nx:
-                    a_rows += [row, row]
-                    a_cols += [self._cell(i - 1, j), self._cell(i, j)]
-                    a_vals += [0.5, 0.5]
-                else:
-                    a_rows.append(row)
-                    a_cols.append(self._cell(min(i, nx - 1), j))
-                    a_vals.append(1.0)
-                # x-direction viscous terms
-                cxx = mu / dx ** 2
-                if i == 0 or i == nx:
-                    # free boundary-normal node: zero-gradient ghost outside
-                    center += cxx
-                    inner = 1 if i == 0 else nx - 1
-                    free, val = u_at(inner, j)
-                    if free:
-                        add(row, val, -cxx)
-                    else:
-                        rhs[row] += cxx * val
-                else:
-                    center += 2.0 * cxx
-                    for ii in (i - 1, i + 1):
-                        free, val = u_at(ii, j)
-                        if free:
-                            add(row, val, -cxx)
-                        else:
-                            rhs[row] += cxx * val
-                # y-direction viscous terms (ghosts across bottom/top)
-                cyy = mu / dy ** 2
-                center += 2.0 * cyy
-                for jj, boundary in ((j - 1, "bottom"), (j + 1, "top")):
-                    if 0 <= jj < ny:
-                        free, val = u_at(i, jj)
-                        if free:
-                            add(row, val, -cyy)
-                        else:
-                            rhs[row] += cyy * val
-                    else:
-                        if self._tangential_mode_u(i, boundary) == _REFLECT:
-                            center += cyy   # ghost = -u (zero wall velocity)
-                        else:
-                            center -= cyy   # ghost = u (zero normal gradient)
-                # pressure gradient
-                if i == 0:
-                    add(row, self._p_col(0, j), 2.0 / dx)
-                elif i == nx:
-                    add(row, self._p_col(nx - 1, j), -2.0 / dx)
-                else:
-                    add(row, self._p_col(i, j), 1.0 / dx)
-                    add(row, self._p_col(i - 1, j), -1.0 / dx)
-                add(row, row, center)
-
-        # --- v momentum rows ------------------------------------------
-        for i in range(nx):
-            for j in range(ny + 1):
-                if not self.v_free[i, j]:
-                    continue
-                row = self.v_idx[i, j]
-                center = 0.0
-                if 0 < j < ny:
-                    a_rows += [row, row]
-                    a_cols += [self._cell(i, j - 1), self._cell(i, j)]
-                    a_vals += [0.5, 0.5]
-                else:
-                    a_rows.append(row)
-                    a_cols.append(self._cell(i, min(j, ny - 1)))
-                    a_vals.append(1.0)
-                cyy = mu / dy ** 2
-                if j == 0 or j == ny:
-                    center += cyy
-                    inner = 1 if j == 0 else ny - 1
-                    free, val = v_at(i, inner)
-                    if free:
-                        add(row, val, -cyy)
-                    else:
-                        rhs[row] += cyy * val
-                else:
-                    center += 2.0 * cyy
-                    for jj in (j - 1, j + 1):
-                        free, val = v_at(i, jj)
-                        if free:
-                            add(row, val, -cyy)
-                        else:
-                            rhs[row] += cyy * val
-                cxx = mu / dx ** 2
-                center += 2.0 * cxx
-                for ii, boundary in ((i - 1, "left"), (i + 1, "right")):
-                    if 0 <= ii < nx:
-                        free, val = v_at(ii, j)
-                        if free:
-                            add(row, val, -cxx)
-                        else:
-                            rhs[row] += cxx * val
-                    else:
-                        if self._tangential_mode_v(j, boundary) == _REFLECT:
-                            center += cxx
-                        else:
-                            center -= cxx
-                if j == 0:
-                    add(row, self._p_col(i, 0), 2.0 / dy)
-                elif j == ny:
-                    add(row, self._p_col(i, ny - 1), -2.0 / dy)
-                else:
-                    add(row, self._p_col(i, j), 1.0 / dy)
-                    add(row, self._p_col(i, j - 1), -1.0 / dy)
-                add(row, row, center)
-
-        # --- continuity rows ------------------------------------------
-        self._pinned_cell = None
-        if not g.has_pressure_boundary:
-            self._pinned_cell = (0, 0)
-        for i in range(nx):
-            for j in range(ny):
-                row = self._p_col(i, j)
-                if (i, j) == self._pinned_cell:
-                    add(row, row, 1.0)  # anchor the pressure nullspace
-                    continue
-                for (ii, sign) in ((i + 1, 1.0), (i, -1.0)):
-                    free, val = u_at(ii, j)
-                    if free:
-                        add(row, val, sign / dx)
-                    else:
-                        rhs[row] -= sign * val / dx
-                for (jj, sign) in ((j + 1, 1.0), (j, -1.0)):
-                    free, val = v_at(i, jj)
-                    if free:
-                        add(row, val, sign / dy)
-                    else:
-                        rhs[row] -= sign * val / dy
-
-        n = self.n_unknowns
-        self.k_base = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(n, n))
-        self.rhs_base = rhs
-        self.alpha_avg = sp.csr_matrix(
-            (a_vals, (a_rows, a_cols)), shape=(n, g.n_cells))
-
-    # ------------------------------------------------------------------
-    # objective quadrature structures (built over the FULL face vector)
-
-    def _build_objective_structures(self) -> None:
-        g = self.grid
-        nx, ny, dx, dy = g.nx, g.ny, g.dx, g.dy
-        nfu = (nx + 1) * ny
-        nfv = nx * (ny + 1)
-        self.n_faces = nfu + nfv
-
-        def uf(i, j):
-            return i * ny + j
-
-        def vf(i, j):
-            return nfu + i * (ny + 1) + j
-
-        # scatter: x_all = P x + d
-        p_rows, p_cols = [], []
-        d_vec = np.zeros(self.n_faces)
-        for i in range(nx + 1):
-            for j in range(ny):
-                if self.u_free[i, j]:
-                    p_rows.append(uf(i, j))
-                    p_cols.append(self.u_idx[i, j])
-                else:
-                    d_vec[uf(i, j)] = self.u_dir[i, j]
-        for i in range(nx):
-            for j in range(ny + 1):
-                if self.v_free[i, j]:
-                    p_rows.append(vf(i, j))
-                    p_cols.append(self.v_idx[i, j])
-                else:
-                    d_vec[vf(i, j)] = self.v_dir[i, j]
-        self.scatter = sp.csr_matrix(
-            (np.ones(len(p_rows)), (p_rows, p_cols)),
-            shape=(self.n_faces, self.n_unknowns))
-        self.dirichlet_vec = d_vec
-
-        # face areas and cell->face alpha averaging over ALL faces
-        area = np.zeros(self.n_faces)
-        m_rows, m_cols, m_vals = [], [], []
-        for i in range(nx + 1):
-            for j in range(ny):
-                f = uf(i, j)
-                if 0 < i < nx:
-                    area[f] = dx * dy
-                    m_rows += [f, f]
-                    m_cols += [self._cell(i - 1, j), self._cell(i, j)]
-                    m_vals += [0.5, 0.5]
-                else:
-                    area[f] = dx * dy / 2.0
-                    m_rows.append(f)
-                    m_cols.append(self._cell(min(i, nx - 1), j))
-                    m_vals.append(1.0)
-        for i in range(nx):
-            for j in range(ny + 1):
-                f = vf(i, j)
-                if 0 < j < ny:
-                    area[f] = dx * dy
-                    m_rows += [f, f]
-                    m_cols += [self._cell(i, j - 1), self._cell(i, j)]
-                    m_vals += [0.5, 0.5]
-                else:
-                    area[f] = dx * dy / 2.0
-                    m_rows.append(f)
-                    m_cols.append(self._cell(i, min(j, ny - 1)))
-                    m_vals.append(1.0)
-        self.face_area = area
-        self.alpha_face = sp.csr_matrix(
-            (m_vals, (m_rows, m_cols)), shape=(self.n_faces, g.n_cells))
-        # marks u faces (True) vs v faces for the body-force work term
-        self.is_u_face = np.zeros(self.n_faces, dtype=bool)
-        self.is_u_face[:nfu] = True
-
-        # velocity-gradient quadrature: Q = sum w_k (G x_all)_k^2
-        q_rows, q_cols, q_vals, w = [], [], [], []
-
-        def sample(entries, weight):
-            k = len(w)
-            for col, coef in entries:
-                q_rows.append(k)
-                q_cols.append(col)
-                q_vals.append(coef)
-            w.append(weight)
-
-        for i in range(nx):                      # du/dx and dv/dy at centers
-            for j in range(ny):
-                sample([(uf(i + 1, j), 1.0 / dx), (uf(i, j), -1.0 / dx)],
-                       dx * dy)
-                sample([(vf(i, j + 1), 1.0 / dy), (vf(i, j), -1.0 / dy)],
-                       dx * dy)
-        for i in range(nx + 1):                  # du/dy at corners
-            wx = dx / 2.0 if i in (0, nx) else dx
-            for j in range(ny + 1):
-                if 0 < j < ny:
-                    sample([(uf(i, j), 1.0 / dy), (uf(i, j - 1), -1.0 / dy)],
-                           wx * dy)
-                else:
-                    boundary = "bottom" if j == 0 else "top"
-                    if self._tangential_mode_u(i, boundary) != _REFLECT:
-                        continue  # traction-free: du/dy ~ 0 at the outlet
-                    jj = 0 if j == 0 else ny - 1
-                    sign = 2.0 / dy if j == 0 else -2.0 / dy
-                    sample([(uf(i, jj), sign)], wx * dy / 2.0)
-        for j in range(ny + 1):                  # dv/dx at corners
-            wy = dy / 2.0 if j in (0, ny) else dy
-            for i in range(nx + 1):
-                if 0 < i < nx:
-                    sample([(vf(i, j), 1.0 / dx), (vf(i - 1, j), -1.0 / dx)],
-                           dx * wy)
-                else:
-                    boundary = "left" if i == 0 else "right"
-                    if self._tangential_mode_v(j, boundary) != _REFLECT:
-                        continue
-                    ii = 0 if i == 0 else nx - 1
-                    sign = 2.0 / dx if i == 0 else -2.0 / dx
-                    sample([(vf(ii, j), sign)], dx / 2.0 * wy)
-
-        self.grad_op = sp.csr_matrix(
-            (q_vals, (q_rows, q_cols)), shape=(len(w), self.n_faces))
-        self.grad_w = np.asarray(w)
+        # Velocity-gradient quadrature Q = sum_k w_k (G x_all)_k^2: du/dx and
+        # dv/dy at cell centers, du/dy and dv/dx at cell corners except where
+        # the tangential ghost has zero gradient (traction-free outlet).
+        # The sample order fixes how every sum over samples rounds: cell by
+        # cell, then du/dy corners x-major, then dv/dx corners y-major.
+        corners = (nx + 1, ny + 1)
+        w_corner = dx * dy * np.outer(_trapezoid(nx), _trapezoid(ny))
+        keep_dudy = np.ones(corners, dtype=bool)
+        keep_dudy[:, 0] = ~zero_grad["bottom"]
+        keep_dudy[:, -1] = ~zero_grad["top"]
+        keep_dvdx = np.ones(corners, dtype=bool)
+        keep_dvdx[0, :] = ~zero_grad["left"]
+        keep_dvdx[-1, :] = ~zero_grad["right"]
+        y_major = np.arange(w_corner.size).reshape(corners).T.ravel()
+        dudy = kron(eye(nx + 1), _half_cell_gradient(ny) / dy)
+        dvdx = kron(_half_cell_gradient(nx) / dx, eye(ny + 1))[y_major]
+        by_cell = np.arange(2 * nc).reshape(2, nc).T.ravel()
+        self.grad_op = sp.vstack([
+            sp.block_diag([div_x, div_y], format="csr")[by_cell],
+            sp.block_diag([dudy[keep_dudy.ravel()],
+                           dvdx[keep_dvdx.T.ravel()]])]).tocsr()
+        self.grad_w = np.r_[np.full(2 * nc, dx * dy), w_corner[keep_dudy],
+                            w_corner.T[keep_dvdx.T]]
 
         # outlet flux extraction rows, one per outlet segment
-        e_rows, e_cols, e_vals = [], [], []
-        self.outlet_labels = []
-        for k, seg in enumerate(g.outlet_segments()):
-            self.outlet_labels.append(f"{seg.side}[{seg.lo}:{seg.hi}]")
-            h = g.face_length(seg.side)
-            for c in range(seg.lo, seg.hi):
-                if seg.side == "left":
-                    f, sign = uf(0, c), -1.0
-                elif seg.side == "right":
-                    f, sign = uf(nx, c), 1.0
-                elif seg.side == "bottom":
-                    f, sign = vf(c, 0), -1.0
-                else:
-                    f, sign = vf(c, ny), 1.0
-                e_rows.append(k)
-                e_cols.append(f)
-                e_vals.append(sign * h)
-        self.outlet_op = sp.csr_matrix(
-            (e_vals, (e_rows, e_cols)),
-            shape=(len(self.outlet_labels), self.n_faces))
-
-        # discrete inlet flux (for mass-balance normalization)
-        flux = 0.0
-        for seg in g.segments:
-            if seg.kind != "inlet":
-                continue
-            h = g.face_length(seg.side)
-            flux += seg.node_values().sum() * h
-        self.inlet_flux = flux
+        outlets = grid.outlet_segments()
+        flux = np.zeros((len(outlets), self.n_faces))
+        for k, seg in enumerate(outlets):
+            faces, sign = _side_faces(grid, seg.side)
+            flux[k, faces[seg.lo:seg.hi]] = sign * grid.face_length(seg.side)
+        self.outlet_op = sp.csr_matrix(flux)
+        self.inlet_flux = grid.inlet_flux()
 
     # ------------------------------------------------------------------
     # solving
@@ -507,14 +285,8 @@ def solve_flow(grid: Grid2D, eps: DensityField, fluid: FluidProps,
     if eps.eps.shape != (grid.nx, grid.ny):
         raise InvalidInputError(
             f"eps shape {eps.eps.shape} != grid cells {(grid.nx, grid.ny)}")
-    a_max_d, a_min_d = default_alpha_bounds(fluid.viscosity,
-                                            max(grid.lx, grid.ly))
-    a_max = alpha_max if alpha_max is not None else a_max_d
-    a_min = alpha_min if alpha_min is not None else a_min_d
-    if alpha_assignment == "literal":
-        a_max, a_min = a_min, a_max
-    elif alpha_assignment != "fluid":
-        raise InvalidInputError(f"unknown alpha_assignment {alpha_assignment!r}")
-    alpha = inverse_permeability(eps.eps, q, a_max, a_min)
+    problem = TopoProblem(grid=grid, fluid=fluid, q=q, alpha_max=alpha_max,
+                          alpha_min=alpha_min,
+                          alpha_assignment=alpha_assignment)
     op = StokesOperator(grid, fluid.viscosity)
-    return op.solve(alpha, body_force)
+    return op.solve(problem.alpha(eps.eps), body_force)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from jetcool import topo
 from jetcool.cli import run
 
 PREDICT_INI = """
@@ -189,6 +190,24 @@ dt_target_k = 25
         assert summary["flow_total_mlpm"] == pytest.approx(30.0, rel=1e-6)
         assert summary["infeasible_cells"] == []
 
+    def test_percent_in_config_value(self, tmp_path):
+        # config values are taken literally: no '%' interpolation
+        pmap = tmp_path / "d%1" / "map.csv"
+        pmap.parent.mkdir()
+        np.savetxt(pmap, np.array([[100.0, 0.0], [200.0, 150.0]]),
+                   delimiter=",")
+        cfg = write(tmp_path, "h.ini", f"""
+[fluid]
+name = water
+
+[map]
+file = {pmap}
+flow_mlpm = 30
+dt_target_k = 25
+""")
+        assert run(["hotspot", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 0
+
     def test_unreachable_cells_exit_3(self, tmp_path):
         pmap = tmp_path / "map.csv"
         np.savetxt(pmap, np.array([[3000.0]]), delimiter=",")
@@ -238,6 +257,44 @@ list =
         fields = list(csv.DictReader((out / "fields.csv").open()))
         assert len(fields) == 24 * 8
         assert set(fields[0]) == {"x", "y", "u", "v", "p"}
+
+    def test_q_continuation_reports_last_stage(self, tmp_path, capsys):
+        cfg = write(tmp_path, "t.ini", """
+[grid]
+nx = 20
+ny = 6
+lx_mm = 10
+ly_mm = 2
+
+[fluid]
+name = water
+
+[problem]
+beta = 0.1
+volume_fraction = 0.4
+q_continuation = 0.01 1.0
+max_iters = 10
+
+[segments]
+list =
+    left 0 6 inlet constant 0.02
+    bottom 4 6 outlet_pressure
+    bottom 14 16 outlet_pressure
+""")
+        out = tmp_path / "out"
+        assert run(["topo", "--config", cfg, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.split("outlet flow shares:")[1]
+        shares = np.array([float(tok) for tok in printed.split()])
+        # the design's flow at the last stage's q, re-solved from density.csv
+        problem, _, _ = topo.parse_problem_file(cfg)
+        density = np.loadtxt(out / "density.csv", delimiter=",", ndmin=2)
+        eps = topo.DensityField(density[::-1].T)
+        sol = topo.solve_flow(problem.grid, eps, problem.fluid, q=1.0)
+        flows = sol.outlet_flows()
+        np.testing.assert_allclose(shares, flows / flows.sum(), rtol=1e-6)
+        fields = np.loadtxt(out / "fields.csv", delimiter=",", skiprows=1)
+        np.testing.assert_allclose(fields[:, 4], sol.p.ravel(), rtol=1e-6,
+                                   atol=1e-9 * np.abs(sol.p).max())
 
     def test_malformed_segment_exit_2(self, tmp_path, capsys):
         cfg = write(tmp_path, "t.ini", """

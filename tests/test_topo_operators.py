@@ -59,7 +59,8 @@ def _canonical(matrix) -> sp.csr_matrix:
 
 def _operators(name: str) -> dict:
     op = StokesOperator(GRIDS[name](), water().viscosity)
-    found = {attr: getattr(op, attr) for attr in MATRICES[:-1] + VECTORS}
+    found = {attr: getattr(op, attr) for attr in
+             ("k_base", "scatter", "alpha_avg", "alpha_face") + VECTORS}
     found["gtwg"] = op.grad_op.T @ sp.diags(op.grad_w) @ op.grad_op
     found["n_samples"] = op.grad_w.size
     return found

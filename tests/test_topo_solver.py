@@ -44,6 +44,8 @@ class TestInversePermeability:
             inverse_permeability(1.5, 0.01, 1.0, 0.0)
         with pytest.raises(InvalidInputError):
             inverse_permeability(0.5, 0.0, 1.0, 0.0)
+        with pytest.raises(InvalidInputError):
+            inverse_permeability(np.nan, 0.01, 1.0, 0.0)
 
 
 class TestPoiseuille:
@@ -125,12 +127,19 @@ class TestBoundaryValidation:
         with pytest.raises(InvalidInputError):
             Grid2D(8, 8, 1e-4, 1e-4, [
                 Segment("right", 0, 8, "outlet_pressure")])
+        segments = [Segment("left", 0, 8, "inlet", "constant", 0.01),
+                    Segment("right", 0, 8, "outlet_pressure")]
+        for dx, dy in ((np.nan, 1e-4), (1e-4, np.nan)):
+            with pytest.raises(InvalidInputError):
+                Grid2D(8, 8, dx, dy, segments)
 
     def test_incompatible_velocity_fluxes(self):
         with pytest.raises(InvalidInputError):
             Grid2D(8, 8, 1e-4, 1e-4, [
                 Segment("left", 0, 8, "inlet", "constant", 0.01),
                 Segment("right", 0, 8, "outlet_velocity", "constant", 0.005)])
+        with pytest.raises(InvalidInputError):
+            Segment("left", 0, 8, "inlet", "constant", np.nan)
 
     def test_balanced_all_velocity_boundaries(self):
         ny = 8
@@ -152,6 +161,8 @@ class TestBoundaryValidation:
         grid = channel(8)
         with pytest.raises(InvalidInputError):
             solve_flow(grid, DensityField(np.ones((3, 3))), water())
+        with pytest.raises(InvalidInputError):
+            DensityField(np.full((grid.nx, grid.ny), np.nan))
 
 
 def test_parabolic_profile_shape():
