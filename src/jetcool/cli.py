@@ -213,19 +213,23 @@ def _floats(sec, key, fallback=None):
     return tuple(float(tok) for tok in sec[key].replace(",", " ").split())
 
 
+def _space_common(cp) -> dict:
+    """DesignSpace fields that explore and cop read the same way."""
+    geo = _section(cp, "geometry")
+    return dict(chip_side=geo.getfloat("chip_side_mm") * 1e-3,
+                t_c=geo.getfloat("tc_mm") * 1e-3,
+                heated_fraction=geo.getfloat("heated_fraction", 0.75),
+                fluid=_load_fluid(cp), solid=_load_solid(cp))
+
+
 def _build_space(cp) -> explorer.DesignSpace:
     sec = _section(cp, "sweep")
-    geo = _section(cp, "geometry")
     return explorer.DesignSpace(
         n_values=tuple(int(v) for v in _floats(sec, "n")),
         di_over_L=_floats(sec, "di_over_l"),
         H_over_L=_floats(sec, "h_over_l"),
         t_over_L=_floats(sec, "t_over_l"),
-        chip_side=geo.getfloat("chip_side_mm") * 1e-3,
-        t_c=geo.getfloat("tc_mm") * 1e-3,
-        fluid=_load_fluid(cp),
-        solid=_load_solid(cp),
-        heated_fraction=geo.getfloat("heated_fraction", 0.75))
+        **_space_common(cp))
 
 
 def _build_mode(cp) -> explorer.ConstraintMode:
@@ -311,15 +315,12 @@ def cmd_pareto(args) -> int:
 def cmd_cop(args) -> int:
     cp = _read_config(args.config)
     sec = _section(cp, "cop")
-    geo = _section(cp, "geometry")
     space = explorer.DesignSpace(
         n_values=tuple(int(v) for v in _floats(sec, "n")),
         di_over_L=(sec.getfloat("di_over_l"),),
         H_over_L=_floats(sec, "h_over_l"),
         t_over_L=(sec.getfloat("t_over_l"),),
-        chip_side=geo.getfloat("chip_side_mm") * 1e-3,
-        t_c=geo.getfloat("tc_mm") * 1e-3,
-        fluid=_load_fluid(cp), solid=_load_solid(cp))
+        **_space_common(cp))
     grid = explorer.cop_surface(space, sec.getfloat("flow_mlpm") * MLPM)
     out = _out_dir(args)
     with open(out / "cop.csv", "w") as fh:
@@ -374,8 +375,15 @@ def cmd_hotspot(args) -> int:
     (out / "hotspot_summary.json").write_text(
         json.dumps(summary, indent=2) + "\n")
     if plan.infeasible_cells:
-        print(f"{len(plan.infeasible_cells)} cell(s) cannot reach the "
-              "required htc within the diameter bounds", file=sys.stderr)
+        unreachable = sum(w.startswith("htc_unreachable")
+                          for w in plan.warnings)
+        exceeded = len(plan.infeasible_cells) - unreachable
+        if unreachable:
+            print(f"{unreachable} cell(s) cannot reach the required htc "
+                  "within the diameter bounds", file=sys.stderr)
+        if exceeded:
+            print(f"{exceeded} cell(s) exceed the required htc even at the "
+                  "smallest diameter", file=sys.stderr)
         return EXIT_INFEASIBLE
     print(f"wrote plan for {int((density > 0).sum())} active cells "
           f"-> {out / 'nozzle_plan.csv'}")

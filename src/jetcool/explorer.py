@@ -15,8 +15,8 @@ from . import props as pr
 from .errors import InfeasibleError, InvalidInputError
 from .geometry import CoolerArray, array_from_ratios
 from .performance import (DT_MAX_ALLOW_DEFAULT, OperatingPoint,
-                          PerformanceReport, evaluate_design)
-from .roots import bisect_monotone
+                          PerformanceReport, evaluate_design, pressure_drop)
+from .roots import bisect_bracket, bisect_monotone
 
 
 @dataclass(frozen=True)
@@ -77,15 +77,6 @@ class SweepRow:
     status: str                       # "ok" | "infeasible"
 
 
-def _dp_of_flow(space: DesignSpace, array: CoolerArray, flow: float) -> float:
-    cell = array.cell
-    v_bar = flow / array.nozzle_count / cell.nozzle_area
-    re = pr.reynolds(space.fluid, cell.d_i, v_bar)
-    inputs = corr.PredictiveInputs(cell.di_over_L, cell.do_over_L,
-                                   cell.H_over_L, cell.t_over_L, re)
-    return corr.friction_predict(inputs).k * 0.5 * space.fluid.density * v_bar ** 2
-
-
 def sweep(space: DesignSpace, mode: ConstraintMode,
           dt_max_allow: float = DT_MAX_ALLOW_DEFAULT,
           inlet_temp: float = 10.0) -> list[SweepRow]:
@@ -104,12 +95,12 @@ def sweep(space: DesignSpace, mode: ConstraintMode,
                 flow = mode.value
             elif mode.kind is ConstraintKind.CONST_PRESSURE:
                 flow = bisect_monotone(
-                    lambda v: _dp_of_flow(space, array, v), mode.value,
+                    lambda v: pressure_drop(array, space.fluid, v), mode.value,
                     guess=1e-5, what="pressure target")
             else:
                 flow = bisect_monotone(
-                    lambda v: v * _dp_of_flow(space, array, v), mode.value,
-                    guess=1e-5, what="pump-power target")
+                    lambda v: v * pressure_drop(array, space.fluid, v),
+                    mode.value, guess=1e-5, what="pump-power target")
             report = evaluate_design(
                 array, space.fluid, space.solid,
                 OperatingPoint(flow_total=flow, inlet_temp=inlet_temp),
@@ -279,13 +270,14 @@ def hotspot_synthesize(power_map: PowerMap, flow_total: float,
 
     density = power_map.density_w_cm2
     active = density > 0
-    htc_req = np.zeros_like(density)
-    htc_req[active] = density[active] * 1e4 / dT_target  # W/cm2 -> W/m2
-    reqs = htc_req[active]
+    reqs = density[active] * 1e4 / dT_target  # W/cm2 -> W/m2, argwhere order
 
     def dp_needed(d: float, req: float) -> float:
         """Plenum pressure at which diameter d exactly meets req."""
         return dp_model.evaluate(d, htc_model.flow_for_htc(d, req))
+
+    def htc_at(d: float, dp: float) -> float:
+        return htc_model.evaluate(d, dp_model.flow_for_dp(d, dp))
 
     # At fixed plenum pressure the achieved htc rises with d while the flow
     # exponent is large, peaks, then falls as the exponent collapses; only
@@ -293,33 +285,27 @@ def hotspot_synthesize(power_map: PowerMap, flow_total: float,
     # for the same cooling), so each cell solve is restricted to it.
     d_samples = np.geomspace(d_min, d_max, 160)
 
-    def cell_state(dp: float, req: float) -> tuple[float, float, str]:
-        """(diameter, flow, status) for one cell at plenum pressure dp."""
-        achieved = np.array([htc_model.evaluate(d, dp_model.flow_for_dp(d, dp))
-                             for d in d_samples])
+    def cell_states(dp: float) -> list[tuple[float, float, str]]:
+        """(diameter, flow, status) of every active cell at plenum pressure
+        dp, in np.argwhere(active) order. The htc curve is built once."""
+        achieved = np.array([htc_at(d, dp) for d in d_samples])
         k_peak = int(achieved.argmax())
-        if req > achieved[k_peak]:
-            d = float(d_samples[k_peak])   # best effort, requirement missed
-            return d, dp_model.flow_for_dp(d, dp), "unreachable"
-        if req < achieved[0]:
-            d = d_min                      # overshoots even at d_min
-            return d, dp_model.flow_for_dp(d, dp), "exceeded"
-        a, b = d_min, float(d_samples[k_peak])
-        fa = achieved[0] - req
-        d = 0.5 * (a + b)
-        for _ in range(200):
-            d = 0.5 * (a + b)
-            fm = (htc_model.evaluate(d, dp_model.flow_for_dp(d, dp)) - req)
-            if abs(fm) <= 1e-12 * req:
-                break
-            if fa * fm <= 0:
-                b = d
+        d_peak = float(d_samples[k_peak])
+        states = []
+        for req in reqs:
+            if req > achieved[k_peak]:
+                d, status = d_peak, "unreachable"  # under-cooled at the peak
+            elif req < achieved[0]:
+                d, status = d_min, "exceeded"      # over-cooled even at d_min
             else:
-                a, fa = d, fm
-        return d, dp_model.flow_for_dp(d, dp), "ok"
+                d = bisect_bracket(lambda x: htc_at(x, dp) - req, d_min,
+                                   d_peak, achieved[0] - req, 1e-12 * req)
+                status = "ok"
+            states.append((d, dp_model.flow_for_dp(d, dp), status))
+        return states
 
-    def total_flow(dp: float) -> float:
-        return sum(cell_state(dp, req)[1] for req in reqs)
+    def flow_error(dp: float) -> float:
+        return sum(m for _, m, _ in cell_states(dp)) - flow_total_mlpm
 
     # pressure band on which every cell is exactly solvable: total flow is
     # strictly decreasing there, so that root is preferred when it exists
@@ -331,18 +317,10 @@ def hotspot_synthesize(power_map: PowerMap, flow_total: float,
     except InvalidInputError:
         band_lo, band_hi = 1.0, 0.0
     if band_lo <= band_hi:
-        t_lo, t_hi = total_flow(band_lo), total_flow(band_hi)
-        if min(t_lo, t_hi) <= flow_total_mlpm <= max(t_lo, t_hi):
-            a, b, fa = band_lo, band_hi, t_lo - flow_total_mlpm
-            for _ in range(200):
-                dp_star = 0.5 * (a + b)
-                fm = total_flow(dp_star) - flow_total_mlpm
-                if abs(fm) <= 1e-12 * flow_total_mlpm:
-                    break
-                if fa * fm <= 0:
-                    b = dp_star
-                else:
-                    a, fa = dp_star, fm
+        e_lo, e_hi = flow_error(band_lo), flow_error(band_hi)
+        if min(e_lo, e_hi) <= 0.0 <= max(e_lo, e_hi):
+            dp_star = bisect_bracket(flow_error, band_lo, band_hi, e_lo,
+                                     1e-12 * flow_total_mlpm)
     if dp_star is None:
         # target outside the fully-feasible range: with cells clamped at
         # their bounds the total is only piecewise monotone, so scan a wide
@@ -350,8 +328,7 @@ def hotspot_synthesize(power_map: PowerMap, flow_total: float,
         # cells (over-cooled plans beat under-cooled ones on a tie)
         dp_grid = np.geomspace(max(band_lo * 1e-6, 1e-9),
                                max(band_hi, band_lo, 1.0) * 1e6, 240)
-        totals = np.array([total_flow(dp) for dp in dp_grid])
-        resid = totals - flow_total_mlpm
+        resid = np.array([flow_error(dp) for dp in dp_grid])
         brackets = [k for k in range(len(dp_grid) - 1)
                     if resid[k] == 0.0 or resid[k] * resid[k + 1] <= 0.0]
         if not brackets:
@@ -360,32 +337,23 @@ def hotspot_synthesize(power_map: PowerMap, flow_total: float,
                 "within the diameter bounds")
 
         def badness(k: int) -> tuple[int, int, float]:
-            mid = math.sqrt(dp_grid[k] * dp_grid[k + 1])
-            states = [cell_state(mid, req)[2] for req in reqs]
-            return (sum(s == "unreachable" for s in states),
-                    sum(s != "ok" for s in states), dp_grid[k])
+            states = cell_states(math.sqrt(dp_grid[k] * dp_grid[k + 1]))
+            return (sum(s == "unreachable" for _, _, s in states),
+                    sum(s != "ok" for _, _, s in states), dp_grid[k])
 
+        # bisect in log dp, so that the midpoints stay geometric
         k = min(brackets, key=badness)
-        a, b = dp_grid[k], dp_grid[k + 1]
-        fa = resid[k]
-        for _ in range(200):
-            dp_star = math.sqrt(a * b)
-            fm = total_flow(dp_star) - flow_total_mlpm
-            if abs(fm) <= 1e-9 * flow_total_mlpm:
-                break
-            if fa * fm <= 0:
-                b = dp_star
-            else:
-                a, fa = dp_star, fm
+        dp_star = math.exp(bisect_bracket(
+            lambda s: flow_error(math.exp(s)), math.log(dp_grid[k]),
+            math.log(dp_grid[k + 1]), resid[k], 1e-9 * flow_total_mlpm))
 
     d_grid = np.zeros_like(density)
     m_grid = np.zeros_like(density)
     htc_grid = np.zeros_like(density)
     infeasible = []
     warns = []
-    for idx in np.argwhere(active):
-        i, j = int(idx[0]), int(idx[1])
-        d, m_nz, status = cell_state(dp_star, htc_req[i, j])
+    for (i, j), (d, m_nz, status) in zip(np.argwhere(active).tolist(),
+                                         cell_states(dp_star)):
         d_grid[i, j] = d
         m_grid[i, j] = m_nz
         htc_grid[i, j] = htc_model.evaluate(d, m_nz)

@@ -104,11 +104,17 @@ def reduce(dT_grid, power: float, t_amb: float, t_in: float, r_loss: float,
     temperature then defines htc = net/(A*(t_s - t_in)). By construction
     htc*A*(t_s - t_in) + q_loss = power exactly.
     """
+    for name, val in (("power", power), ("t_amb", t_amb), ("t_in", t_in),
+                      ("r_loss", r_loss)):
+        if not math.isfinite(val):
+            raise InvalidInputError(f"{name} must be finite, got {val}")
     if power <= 0:
         raise InvalidInputError(f"power must be > 0, got {power}")
     if r_loss <= 0:
         raise InvalidInputError(f"r_loss must be > 0, got {r_loss}")
     dT = np.asarray(dT_grid, dtype=float)
+    if dT.size == 0 or not np.all(np.isfinite(dT)):
+        raise InvalidInputError("temperature map must be non-empty and finite")
     dT_avg = float(dT.mean())
     t_chip = t_in + dT_avg
     r_th = dT_avg / power
@@ -148,10 +154,17 @@ def gci(f1_fine: float, f2: float, f3_coarse: float, r: float = 2.0,
 
     p = ln((f3-f2)/(f2-f1))/ln r; GCI_pair = fs*r^p/(r^p-1)*|relative change|.
     Differences must be same-signed and nonzero (oscillatory convergence is
-    out of scope).
+    out of scope); the inputs must be finite, and f1, f2 nonzero.
     """
+    for name, val in (("f1", f1_fine), ("f2", f2), ("f3", f3_coarse),
+                      ("r", r), ("fs", fs)):
+        if not math.isfinite(val):
+            raise InvalidInputError(f"{name} must be finite, got {val}")
     if r <= 1:
         raise InvalidInputError(f"refinement ratio must be > 1, got {r}")
+    if f1_fine == 0 or f2 == 0:
+        raise InvalidInputError(
+            "f1 and f2 must be nonzero: the index is relative to them")
     d32 = f3_coarse - f2
     d21 = f2 - f1_fine
     if d32 == 0 or d21 == 0 or (d32 > 0) != (d21 > 0):

@@ -19,6 +19,7 @@ from . import props as pr
 from .errors import (InvalidGeometryError, InvalidInputError, NoFlowError,
                      NonMeaningfulResistanceError)
 from .geometry import CM2_PER_M2, CoolerArray, UnitCell, normalize, per_nozzle_flow
+from .roots import bisect_monotone
 
 #: Default maximum allowed chip temperature increase for COP [K].
 DT_MAX_ALLOW_DEFAULT = 60.0
@@ -254,7 +255,9 @@ def _htc_with_pr(array: CoolerArray, fluid: pr.FluidProps,
     return htc, warns
 
 
-def _dp_of_flow(array: CoolerArray, fluid: pr.FluidProps, flow: float) -> float:
+def pressure_drop(array: CoolerArray, fluid: pr.FluidProps,
+                  flow: float) -> float:
+    """Cell pressure drop [Pa] at total flow [m3/s]: k * (1/2) rho V^2."""
     cell = array.cell
     v_bar = per_nozzle_flow(flow, array.n) / cell.nozzle_area
     re = pr.reynolds(fluid, cell.d_i, v_bar)
@@ -277,22 +280,16 @@ def coolant_compare(coolants: Sequence[pr.FluidProps], reference: pr.FluidProps,
     if op.flow_total <= 0:
         raise NoFlowError("flow_total must be > 0")
     htc_ref, _ = _htc_with_pr(array, reference, op.flow_total)
-    w_ref = op.flow_total * _dp_of_flow(array, reference, op.flow_total)
+    w_ref = op.flow_total * pressure_drop(array, reference, op.flow_total)
     out = []
     for coolant in coolants:
         if mode == "const_flow":
             flow = op.flow_total
         else:
-            flow = _solve_flow_for_pump(array, coolant, w_ref,
-                                        guess=op.flow_total)
+            flow = bisect_monotone(
+                lambda v: v * pressure_drop(array, coolant, v), w_ref,
+                guess=op.flow_total, what=f"pump power for {coolant.name}")
         htc, warns = _htc_with_pr(array, coolant, flow)
         out.append(CoolantRating(coolant.name, htc / htc_ref, flow, warns))
     return out
 
-
-def _solve_flow_for_pump(array: CoolerArray, fluid: pr.FluidProps,
-                         w_target: float, guess: float) -> float:
-    from .roots import bisect_monotone
-    return bisect_monotone(
-        lambda v: v * _dp_of_flow(array, fluid, v), w_target, guess,
-        what=f"pump power for {fluid.name}")

@@ -147,6 +147,35 @@ flow_mlpm = 300
         assert len(lines) == 4                       # header + 3 n values
         assert len(lines[0].split(",")) == 4         # n, density, 2 H columns
 
+    def test_cop_matches_explore_with_heated_fraction(self, tmp_path):
+        ini = PREDICT_INI.replace("tc_mm = 0.2",
+                                  "tc_mm = 0.2\nheated_fraction = 1.0")
+        cfg = write(tmp_path, "c.ini", ini + """
+[sweep]
+n = 4
+di_over_l = 0.3
+h_over_l = 0.3
+t_over_l = 0.5
+
+[constraint]
+mode = const_flow
+value_mlpm = 300
+
+[cop]
+n = 4
+h_over_l = 0.3
+di_over_l = 0.3
+t_over_l = 0.5
+flow_mlpm = 300
+""")
+        out = tmp_path / "out"
+        assert run(["explore", "--config", cfg, "--out", str(out)]) == 0
+        assert run(["cop", "--config", cfg, "--out", str(out)]) == 0
+        explored = next(csv.DictReader((out / "sweep.csv").open()))
+        cop_row = (out / "cop.csv").read_text().splitlines()[1].split(",")
+        assert float(cop_row[2]) == pytest.approx(float(explored["cop"]),
+                                                  rel=1e-12)
+
 
 class TestHotspot:
     def test_scale_path(self, tmp_path):
@@ -222,6 +251,30 @@ dt_target_k = 5
 """)
         code = run(["hotspot", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 3
+
+    @pytest.mark.parametrize("density, flow, message, other", [
+        ([[1.0, 1.0], [1.0, 1.0]], 30,
+         "4 cell(s) exceed the required htc", "cannot reach"),
+        ([[3000.0]], 5,
+         "1 cell(s) cannot reach the required htc", "exceed"),
+    ])
+    def test_flag_kinds_reported_separately(self, tmp_path, capsys, density,
+                                            flow, message, other):
+        pmap = tmp_path / "map.csv"
+        np.savetxt(pmap, np.array(density), delimiter=",")
+        cfg = write(tmp_path, "h.ini", f"""
+[fluid]
+name = water
+
+[map]
+file = {pmap}
+flow_mlpm = {flow}
+dt_target_k = 25
+""")
+        code = run(["hotspot", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert message in err and other not in err
 
 
 class TestTopoCommand:
@@ -370,6 +423,12 @@ class TestReduceGci:
         cfg = write(tmp_path, "g.ini",
                     "[gci]\nf1 = 1.0\nf2 = 0.9\nf3 = 1.1\n")
         assert run(["gci", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+    def test_gci_zero_value_exit_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "g.ini",
+                    "[gci]\nf1 = 0\nf2 = 0.9\nf3 = 1.0\n")
+        assert run(["gci", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "f1 and f2 must be nonzero" in capsys.readouterr().err
 
 
 class TestBenchmark:

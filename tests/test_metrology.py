@@ -77,6 +77,15 @@ class TestReduce:
         htc = 50.0 / (0.48e-4 * 15.0)
         assert htc == pytest.approx(69444.44444444444, rel=1e-12)
 
+    def test_rejects_non_finite_input(self):
+        for dT in (np.full((2, 2), np.nan), [[1.0, np.inf]], np.empty((0, 0))):
+            with pytest.raises(InvalidInputError):
+                reduce(dT, power=50.0, t_amb=25.0, t_in=10.0, r_loss=16.8,
+                       chip=CHIP)
+        with pytest.raises(InvalidInputError):
+            reduce(np.full((2, 2), 25.0), power=50.0, t_amb=float("nan"),
+                   t_in=10.0, r_loss=16.8, chip=CHIP)
+
     def test_non_physical(self):
         dT = np.full((2, 2), 1e-4)
         with pytest.raises(NonPhysicalReductionError):
@@ -140,3 +149,9 @@ class TestGci:
             gci(1.0, 1.0, 1.1)
         with pytest.raises(InvalidInputError):
             gci(0.85, 0.9, 1.0, r=1.0)
+        for args in ((0.0, 0.9, 1.0), (-0.1, 0.0, 0.2),
+                     (float("nan"), 0.9, 1.0), (0.85, 0.9, float("inf"))):
+            with pytest.raises(InvalidInputError):
+                gci(*args)
+        with pytest.raises(InvalidInputError):
+            gci(0.85, 0.9, 1.0, r=float("nan"))
