@@ -17,13 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import explorer, metrology, performance, topo
+from . import config, explorer, metrology, performance, topo
 from . import props as pr
-from .errors import (InfeasibleError, InvalidInputError, NoFlowError,
-                     NonMeaningfulResistanceError,
+from .errors import (ConfigError, InfeasibleError, InvalidInputError,
+                     NoFlowError, NonMeaningfulResistanceError,
                      NonMonotoneConvergenceError, NonPhysicalReductionError,
                      SolverError)
-from .geometry import CoolerArray, array_from_ratios
+from .geometry import array_from_ratios
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -33,50 +33,10 @@ EXIT_SOLVER = 4
 MLPM = 1e-6 / 60.0   # m3/s per mL/min
 
 
-class ConfigError(InvalidInputError):
-    pass
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.10g}"
     return str(x)
-
-
-def _read_config(path: str) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
-                                   interpolation=None)
-    if not cp.read(path):
-        raise ConfigError(f"cannot read config file {path!r}")
-    return cp
-
-
-def _section(cp: configparser.ConfigParser, name: str):
-    if not cp.has_section(name):
-        raise ConfigError(f"config is missing the [{name}] section")
-    return cp[name]
-
-
-def _load_fluid(cp) -> pr.FluidProps:
-    sec = _section(cp, "fluid")
-    catalog = pr.builtin_fluids()
-    if "catalog" in sec:
-        catalog.update(pr.load_fluids(sec["catalog"]))
-    if "name" in sec:
-        name = sec["name"]
-        if name not in catalog:
-            raise ConfigError(f"[fluid] unknown fluid {name!r}")
-        return catalog[name]
-    try:
-        return pr.FluidProps(
-            name=sec.get("label", "custom"),
-            density=sec.getfloat("density_kg_m3"),
-            viscosity=sec.getfloat("viscosity_kg_ms"),
-            specific_heat=sec.getfloat("cp_J_kgK"),
-            conductivity=sec.getfloat("k_W_mK"),
-            reference_temp=sec.getfloat("ref_temp_C", 20.0))
-    except TypeError as exc:
-        raise ConfigError(f"[fluid] incomplete inline definition: {exc}")
 
 
 def _load_solid(cp) -> pr.SolidProps:
@@ -91,35 +51,7 @@ def _load_solid(cp) -> pr.SolidProps:
         if name not in catalog:
             raise ConfigError(f"[solid] unknown solid {name!r}")
         return catalog[name]
-    return pr.SolidProps("custom", sec.getfloat("k_W_mK"))
-
-
-def _load_geometry(cp) -> CoolerArray:
-    sec = _section(cp, "geometry")
-    try:
-        return array_from_ratios(
-            chip_side=sec.getfloat("chip_side_mm") * 1e-3,
-            n=sec.getint("n"),
-            di_over_L=sec.getfloat("di_over_l"),
-            do_over_L=sec.getfloat("do_over_l", sec.getfloat("di_over_l")),
-            H_over_L=sec.getfloat("h_over_l"),
-            t_over_L=sec.getfloat("t_over_l"),
-            tc=sec.getfloat("tc_mm") * 1e-3,
-            heated_fraction=sec.getfloat("heated_fraction", 0.75))
-    except TypeError as exc:
-        raise ConfigError(f"[geometry] incomplete: {exc}")
-
-
-def _load_operating(cp) -> performance.OperatingPoint:
-    sec = _section(cp, "operating")
-    try:
-        return performance.OperatingPoint(
-            flow_total=sec.getfloat("flow_mlpm") * MLPM,
-            inlet_temp=sec.getfloat("inlet_c", 10.0),
-            chip_power=sec.getfloat("power_w", 0.0),
-            ambient_temp=sec.getfloat("ambient_c", 25.0))
-    except TypeError as exc:
-        raise ConfigError(f"[operating] incomplete: {exc}")
+    return pr.SolidProps("custom", config.value(sec, "k_W_mK"))
 
 
 def _out_dir(args) -> Path:
@@ -166,12 +98,27 @@ def _report_dict(report: performance.PerformanceReport) -> dict:
 # commands
 
 def cmd_predict(args) -> int:
-    cp = _read_config(args.config)
-    array = _load_geometry(cp)
-    fluid = _load_fluid(cp)
+    cp = config.read(args.config)
+    sec = config.section(cp, "geometry")
+    di_over_l = config.value(sec, "di_over_l")
+    array = array_from_ratios(
+        chip_side=config.value(sec, "chip_side_mm", scale=1e-3),
+        n=config.value(sec, "n", cast=int),
+        di_over_L=di_over_l,
+        do_over_L=config.value(sec, "do_over_l", di_over_l),
+        H_over_L=config.value(sec, "h_over_l"),
+        t_over_L=config.value(sec, "t_over_l"),
+        tc=config.value(sec, "tc_mm", scale=1e-3),
+        heated_fraction=config.value(sec, "heated_fraction", 0.75))
+    fluid = config.fluid(cp)
     solid = _load_solid(cp)
-    op = _load_operating(cp)
-    dt_max = cp["operating"].getfloat("dt_max_allow", 60.0)
+    sec = config.section(cp, "operating")
+    op = performance.OperatingPoint(
+        flow_total=config.value(sec, "flow_mlpm", scale=MLPM),
+        inlet_temp=config.value(sec, "inlet_c", 10.0),
+        chip_power=config.value(sec, "power_w", 0.0),
+        ambient_temp=config.value(sec, "ambient_c", 25.0))
+    dt_max = config.value(sec, "dt_max_allow", 60.0)
     report = performance.evaluate_design(array, fluid, solid, op, dt_max)
     breakdown = performance.pressure_decomposition(
         array.cell, fluid, report.flow_per_nozzle)
@@ -205,35 +152,23 @@ SWEEP_HEADER = ("n,di_over_L,do_over_L,H_over_L,t_over_L,flow_mlpm,re,nu_f,"
                 "warnings")
 
 
-def _floats(sec, key, fallback=None):
-    if key not in sec:
-        if fallback is None:
-            raise ConfigError(f"missing key {key!r} in [{sec.name}]")
-        return fallback
-    return tuple(float(tok) for tok in sec[key].replace(",", " ").split())
-
-
-def _space_common(cp) -> dict:
-    """DesignSpace fields that explore and cop read the same way."""
-    geo = _section(cp, "geometry")
-    return dict(chip_side=geo.getfloat("chip_side_mm") * 1e-3,
-                t_c=geo.getfloat("tc_mm") * 1e-3,
-                heated_fraction=geo.getfloat("heated_fraction", 0.75),
-                fluid=_load_fluid(cp), solid=_load_solid(cp))
-
-
-def _build_space(cp) -> explorer.DesignSpace:
-    sec = _section(cp, "sweep")
+def _build_space(cp, name: str) -> explorer.DesignSpace:
+    """DesignSpace from the lists of [sweep] or [cop] and the chip keys."""
+    sec = config.section(cp, name)
+    geo = config.section(cp, "geometry")
     return explorer.DesignSpace(
-        n_values=tuple(int(v) for v in _floats(sec, "n")),
-        di_over_L=_floats(sec, "di_over_l"),
-        H_over_L=_floats(sec, "h_over_l"),
-        t_over_L=_floats(sec, "t_over_l"),
-        **_space_common(cp))
+        n_values=config.values(sec, "n", int),
+        di_over_L=config.values(sec, "di_over_l"),
+        H_over_L=config.values(sec, "h_over_l"),
+        t_over_L=config.values(sec, "t_over_l"),
+        chip_side=config.value(geo, "chip_side_mm", scale=1e-3),
+        t_c=config.value(geo, "tc_mm", scale=1e-3),
+        heated_fraction=config.value(geo, "heated_fraction", 0.75),
+        fluid=config.fluid(cp), solid=_load_solid(cp))
 
 
 def _build_mode(cp) -> explorer.ConstraintMode:
-    sec = _section(cp, "constraint")
+    sec = config.section(cp, "constraint")
     mode = sec.get("mode", "const_flow")
     kinds = {
         "const_flow": (explorer.ConstraintKind.CONST_FLOW, "value_mlpm", MLPM),
@@ -243,9 +178,7 @@ def _build_mode(cp) -> explorer.ConstraintMode:
     if mode not in kinds:
         raise ConfigError(f"[constraint] unknown mode {mode!r}")
     kind, key, scale = kinds[mode]
-    if key not in sec:
-        raise ConfigError(f"[constraint] missing {key!r}")
-    return explorer.ConstraintMode(kind, sec.getfloat(key) * scale)
+    return explorer.ConstraintMode(kind, config.value(sec, key, scale=scale))
 
 
 def _write_sweep_csv(rows, path: Path) -> None:
@@ -269,8 +202,8 @@ def _write_sweep_csv(rows, path: Path) -> None:
 
 
 def cmd_explore(args) -> int:
-    cp = _read_config(args.config)
-    rows = explorer.sweep(_build_space(cp), _build_mode(cp))
+    cp = config.read(args.config)
+    rows = explorer.sweep(_build_space(cp, "sweep"), _build_mode(cp))
     out = _out_dir(args)
     _write_sweep_csv(rows, out / "sweep.csv")
     print(f"wrote {len(rows)} rows to {out / 'sweep.csv'}")
@@ -280,8 +213,8 @@ def cmd_explore(args) -> int:
 def cmd_pareto(args) -> int:
     src = args.input
     if src is None and args.config:
-        cp = _read_config(args.config)
-        src = _section(cp, "pareto").get("input")
+        cp = config.read(args.config)
+        src = config.section(cp, "pareto").get("input")
     if src is None:
         raise ConfigError("pareto needs --input CSV (or [pareto] input=...)")
     points = []
@@ -313,15 +246,13 @@ def cmd_pareto(args) -> int:
 
 
 def cmd_cop(args) -> int:
-    cp = _read_config(args.config)
-    sec = _section(cp, "cop")
-    space = explorer.DesignSpace(
-        n_values=tuple(int(v) for v in _floats(sec, "n")),
-        di_over_L=(sec.getfloat("di_over_l"),),
-        H_over_L=_floats(sec, "h_over_l"),
-        t_over_L=(sec.getfloat("t_over_l"),),
-        **_space_common(cp))
-    grid = explorer.cop_surface(space, sec.getfloat("flow_mlpm") * MLPM)
+    cp = config.read(args.config)
+    space = _build_space(cp, "cop")
+    # cop_surface evaluates one d_i/L and one t/L
+    if len(space.di_over_L) != 1 or len(space.t_over_L) != 1:
+        raise ConfigError("[cop] di_over_l and t_over_l take one value each")
+    flow = config.value(cp["cop"], "flow_mlpm", scale=MLPM)
+    grid = explorer.cop_surface(space, flow)
     out = _out_dir(args)
     with open(out / "cop.csv", "w") as fh:
         fh.write("n,density_cm2," + ",".join(
@@ -336,15 +267,16 @@ def cmd_cop(args) -> int:
 
 
 def cmd_hotspot(args) -> int:
-    cp = _read_config(args.config)
+    cp = config.read(args.config)
     out = _out_dir(args)
     if cp.has_section("scale"):
         sec = cp["scale"]
         result = explorer.hotspot_scale(
-            base_htc=sec.getfloat("base_htc_w_m2k"),
-            base_flow_per_nozzle=sec.getfloat("base_flow_mlpm") * MLPM,
-            n_sq=sec.getint("n_total"),
-            m_nozzles=sec.getint("m_nozzles"))
+            base_htc=config.value(sec, "base_htc_w_m2k"),
+            base_flow_per_nozzle=config.value(sec, "base_flow_mlpm",
+                                              scale=MLPM),
+            n_sq=config.value(sec, "n_total", cast=int),
+            m_nozzles=config.value(sec, "m_nozzles", cast=int))
         payload = {"m": result.m, "htc_star_W_m2K": result.htc_star,
                    "flow_star_mlpm": result.flow_star / MLPM,
                    "dp_ratio": result.dp_ratio}
@@ -354,14 +286,17 @@ def cmd_hotspot(args) -> int:
             print(f"{key:>16}  {_fmt(val)}")
         return EXIT_OK
 
-    sec = _section(cp, "map")
-    density = np.loadtxt(sec["file"], delimiter=",", ndmin=2)
-    power_map = explorer.PowerMap(density_w_cm2=density,
-                                  cell_pitch=sec.getfloat("pitch_mm", 1.0) * 1e-3)
+    sec = config.section(cp, "map")
+    density = np.loadtxt(config.value(sec, "file", cast=str), delimiter=",",
+                         ndmin=2)
+    power_map = explorer.PowerMap(
+        density_w_cm2=density,
+        cell_pitch=config.value(sec, "pitch_mm", 1.0, scale=1e-3))
     plan = explorer.hotspot_synthesize(
-        power_map, flow_total=sec.getfloat("flow_mlpm") * MLPM,
-        dT_target=sec.getfloat("dt_target_k"), fluid=_load_fluid(cp),
-        bounds=(sec.getfloat("d_min_mm", 0.1), sec.getfloat("d_max_mm", 0.9)))
+        power_map, flow_total=config.value(sec, "flow_mlpm", scale=MLPM),
+        dT_target=config.value(sec, "dt_target_k"), fluid=config.fluid(cp),
+        bounds=(config.value(sec, "d_min_mm", 0.1),
+                config.value(sec, "d_max_mm", 0.9)))
     with open(out / "nozzle_plan.csv", "w") as fh:
         fh.write("row,col,power_W_cm2,d_mm,m_nz_mlpm,htc_W_m2K\n")
         nrow, ncol = plan.d_mm.shape
@@ -456,7 +391,9 @@ def cmd_reduce(args) -> int:
     params = _parse_dataset_header(args.config)
     rows = []
     with open(args.config, newline="") as fh:
-        reader = csv.DictReader(r for r in fh if not r.startswith("#"))
+        # a short row reads as empty cells, which fail as malformed numbers
+        reader = csv.DictReader((r for r in fh if not r.startswith("#")),
+                                restval="")
         for row in reader:
             rows.append(row)
     if not rows:
@@ -507,12 +444,12 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_gci(args) -> int:
-    cp = _read_config(args.config)
-    sec = _section(cp, "gci")
+    cp = config.read(args.config)
+    sec = config.section(cp, "gci")
     result = metrology.gci(
-        f1_fine=sec.getfloat("f1"), f2=sec.getfloat("f2"),
-        f3_coarse=sec.getfloat("f3"), r=sec.getfloat("r", 2.0),
-        fs=sec.getfloat("fs", metrology.GCI_SAFETY_FACTOR))
+        f1_fine=config.value(sec, "f1"), f2=config.value(sec, "f2"),
+        f3_coarse=config.value(sec, "f3"), r=config.value(sec, "r", 2.0),
+        fs=config.value(sec, "fs", metrology.GCI_SAFETY_FACTOR))
     payload = {"p": result.p, "gci12": result.gci12, "gci23": result.gci23,
                "asymptotic_ratio": result.asymptotic_ratio,
                "in_asymptotic_range": result.in_asymptotic_range}
@@ -542,6 +479,11 @@ def _parse_quantity(text: str, units: dict) -> float | None:
     return None
 
 
+_FIXTURE_COLUMNS = {"authors", "year", "material", "chip_area_cm2",
+                    "thermal_metric", "thermal_metric_unit", "pump_w", "flow",
+                    "dp"}
+
+
 def _benchmark_rows(fixture_path: str | None):
     if fixture_path is None:
         from importlib import resources
@@ -550,7 +492,11 @@ def _benchmark_rows(fixture_path: str | None):
     else:
         fh = open(fixture_path, newline="")
     with fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        missing = sorted(_FIXTURE_COLUMNS - set(reader.fieldnames or ()))
+        if missing:
+            raise ConfigError(f"{fixture_path}: missing columns {missing}")
+        return list(reader)
 
 
 def cmd_benchmark(args) -> int:
@@ -650,8 +596,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, InvalidInputError, FileNotFoundError,
-            configparser.Error, KeyError, TypeError, ValueError) as exc:
+    except (InvalidInputError, FileNotFoundError, configparser.Error,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NoFlowError, InfeasibleError, NonPhysicalReductionError,

@@ -1,0 +1,86 @@
+"""INI config reading for the CLI configs and the topo problem files.
+
+A missing, malformed or non-finite entry raises ``ConfigError`` naming its
+``[section]`` and key.
+"""
+
+from __future__ import annotations
+
+import configparser
+import math
+
+from . import props as pr
+from .errors import ConfigError
+
+REQUIRED = object()   # default of a key the file must give
+
+
+def read(path) -> configparser.ConfigParser:
+    """Parse an INI file; values are literal (no '%' interpolation)."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                   interpolation=None)
+    if not cp.read(path):
+        raise ConfigError(f"cannot read config file {str(path)!r}")
+    return cp
+
+
+def section(cp: configparser.ConfigParser, name: str):
+    if not cp.has_section(name):
+        raise ConfigError(f"config is missing the [{name}] section")
+    return cp[name]
+
+
+def _convert(sec, key: str, text: str, cast):
+    try:
+        val = cast(text)
+    except ValueError:
+        raise ConfigError(f"[{sec.name}] {key} = {text!r} is not a valid "
+                          f"{cast.__name__}") from None
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(f"[{sec.name}] {key} must be finite, got {text!r}")
+    return val
+
+
+def value(sec, key: str, default=REQUIRED, scale: float = 1.0, cast=float):
+    """Entry ``key`` of ``sec`` as ``cast``, times ``scale``.
+
+    A missing key gives ``default``, in file units and scaled the same way;
+    a ``None`` default is returned as is. With ``scale`` 1 the value keeps
+    its type, so integer keys stay ``int``.
+    """
+    if key in sec:
+        val = _convert(sec, key, sec[key], cast)
+    elif default is REQUIRED:
+        raise ConfigError(f"[{sec.name}] missing required key {key!r}")
+    else:
+        val = default
+    return val if val is None or scale == 1.0 else val * scale
+
+
+def values(sec, key: str, cast=float, default=REQUIRED) -> tuple:
+    """A whitespace- or comma-separated list entry, each item as ``cast``."""
+    if key not in sec and default is not REQUIRED:
+        return default
+    text = value(sec, key, cast=str)
+    return tuple(_convert(sec, key, tok, cast)
+                 for tok in text.replace(",", " ").split())
+
+
+def fluid(cp: configparser.ConfigParser) -> pr.FluidProps:
+    """[fluid]: a ``name`` from the built-in or ``catalog`` CSV, or inline."""
+    sec = section(cp, "fluid")
+    catalog = pr.builtin_fluids()
+    if "catalog" in sec:
+        catalog.update(pr.load_fluids(sec["catalog"]))
+    if "name" in sec:
+        name = sec["name"]
+        if name not in catalog:
+            raise ConfigError(f"[fluid] unknown fluid {name!r}")
+        return catalog[name]
+    return pr.FluidProps(
+        name=sec.get("label", "custom"),
+        density=value(sec, "density_kg_m3"),
+        viscosity=value(sec, "viscosity_kg_ms"),
+        specific_heat=value(sec, "cp_J_kgK"),
+        conductivity=value(sec, "k_W_mK"),
+        reference_temp=value(sec, "ref_temp_C", 20.0))

@@ -10,6 +10,10 @@ class InvalidInputError(JetcoolError, ValueError):
     non-positive where positivity is required, ...)."""
 
 
+class ConfigError(InvalidInputError):
+    """A config or input file is unreadable, or lacks or mangles an entry."""
+
+
 class InvalidGeometryError(InvalidInputError):
     """A geometric description is inconsistent (ratio >= 1, zero diameter...)."""
 

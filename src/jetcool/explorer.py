@@ -211,6 +211,8 @@ class PowerMap:
     def __post_init__(self) -> None:
         object.__setattr__(self, "density_w_cm2",
                            np.asarray(self.density_w_cm2, dtype=float))
+        if not np.all(np.isfinite(self.density_w_cm2)):
+            raise InvalidInputError("power densities must be finite")
         if np.any(self.density_w_cm2 < 0):
             raise InvalidInputError("power densities must be >= 0")
 

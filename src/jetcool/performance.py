@@ -35,8 +35,11 @@ class OperatingPoint:
     def __post_init__(self) -> None:
         if self.flow_total < 0 or not math.isfinite(self.flow_total):
             raise InvalidInputError(f"flow_total must be >= 0, got {self.flow_total}")
-        if self.chip_power < 0:
-            raise InvalidInputError(f"chip_power must be >= 0, got {self.chip_power}")
+        if self.chip_power < 0 or not math.isfinite(self.chip_power):
+            raise InvalidInputError(
+                f"chip_power must be finite and >= 0, got {self.chip_power}")
+        pr._require_finite(inlet_temp=self.inlet_temp,
+                           ambient_temp=self.ambient_temp)
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,9 @@ def evaluate_design(array: CoolerArray, fluid: pr.FluidProps,
     COP = (dt_max_allow / R_th) / W_p. Validity warnings from the fitted
     correlations are carried through in the report.
     """
+    if not (math.isfinite(dt_max_allow) and dt_max_allow > 0):
+        raise InvalidInputError(
+            f"dt_max_allow must be finite and > 0, got {dt_max_allow}")
     if op.flow_total == 0:
         raise NoFlowError("flow_total is zero")
     cell = array.cell

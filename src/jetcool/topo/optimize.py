@@ -75,6 +75,8 @@ def optimize(problem: TopoProblem, eps0: DensityField | None = None,
     0.1)): each stage starts from the previous stage's design, sharpening
     intermediate densities toward 0/1.
     """
+    if max_iters < 0:
+        raise InvalidInputError(f"max_iters must be >= 0, got {max_iters}")
     grid = problem.grid
     if eps0 is None:
         eps0 = DensityField.uniform(grid, problem.volume_fraction)

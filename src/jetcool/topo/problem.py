@@ -86,6 +86,11 @@ class TopoProblem:
                 f"volume_fraction must be in (0, 1], got {self.volume_fraction}")
         if not self.q > 0:
             raise InvalidInputError(f"q must be > 0, got {self.q}")
+        for name in ("lambda1", "lambda2", "u_ref"):
+            val = getattr(self, name)
+            if val is not None and not (np.isfinite(val) and val > 0):
+                raise InvalidInputError(
+                    f"{name} must be finite and > 0, got {val}")
         if self.alpha_assignment not in ("fluid", "literal"):
             raise InvalidInputError(
                 f"alpha_assignment must be 'fluid' or 'literal', "

@@ -237,6 +237,22 @@ dt_target_k = 25
         assert run(["hotspot", "--config", cfg,
                     "--out", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_power_density_exit_2(self, tmp_path, capsys, bad):
+        pmap = write(tmp_path, "map.csv", f"100,{bad}\n200,150\n")
+        cfg = write(tmp_path, "h.ini", f"""
+[fluid]
+name = water
+
+[map]
+file = {pmap}
+flow_mlpm = 30
+dt_target_k = 25
+""")
+        assert run(["hotspot", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_unreachable_cells_exit_3(self, tmp_path):
         pmap = tmp_path / "map.csv"
         np.savetxt(pmap, np.array([[3000.0]]), delimiter=",")
@@ -410,6 +426,11 @@ class TestReduceGci:
         assert run(["reduce", "--config", cfg,
                     "--out", str(tmp_path / "o")]) == 2
 
+    def test_short_row_exit_2(self, tmp_path):
+        cfg = write(tmp_path, "ds.csv", REDUCE_CSV + "1,2,0.57\n")
+        assert run(["reduce", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 2
+
     def test_gci_report(self, tmp_path):
         cfg = write(tmp_path, "g.ini",
                     "[gci]\nf1 = 0.85\nf2 = 0.9\nf3 = 1.0\nr = 2\nfs = 1.25\n")
@@ -465,6 +486,16 @@ class TestBenchmark:
                     "--out", str(out)]) == 0
         lines = (out / "benchmark.csv").read_text().splitlines()
         assert len(lines) == 1
+
+    def test_missing_column_exit_2(self, tmp_path, capsys):
+        fixture = tmp_path / "noauthors.csv"
+        fixture.write_text("material,year,chip_area_cm2,flow,dp,pump_w,"
+                           "thermal_metric,thermal_metric_unit\n"
+                           "Si,2006,4,,,1.46,0.17,Kcm2/W\n")
+        assert run(["benchmark", "--fixture", str(fixture),
+                    "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "column" in err and "authors" in err
 
     def test_determinism(self, tmp_path):
         run(["benchmark", "--out", str(tmp_path / "a")])

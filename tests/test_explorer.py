@@ -178,6 +178,11 @@ class TestHotspotSynthesize:
             np.testing.assert_allclose(plan.htc[plan.d_mm > 0],
                                        htc_req[plan.d_mm > 0], rtol=1e-6)
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_power_map_validation(self, bad):
+        with pytest.raises(InvalidInputError):
+            PowerMap(np.array([[100.0, bad]]))
+
     def test_pitch_guard(self):
         with pytest.raises(InvalidInputError):
             hotspot_synthesize(PowerMap(np.full((2, 2), 50.0),

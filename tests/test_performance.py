@@ -65,6 +65,21 @@ def test_no_flow_error(quad_array):
                         OperatingPoint(flow_total=0.0))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("chip_power", math.nan), ("chip_power", math.inf), ("chip_power", -1.0),
+    ("inlet_temp", math.nan), ("ambient_temp", -math.inf)])
+def test_operating_point_rejects_bad_values(field, value):
+    with pytest.raises(InvalidInputError, match=field):
+        OperatingPoint(flow_total=600 * MLPM, **{field: value})
+
+
+@pytest.mark.parametrize("dt_max", [0.0, -5.0, math.nan, math.inf])
+def test_dt_max_allow_must_be_positive_and_finite(quad_array, dt_max):
+    with pytest.raises(InvalidInputError, match="dt_max_allow"):
+        evaluate_design(quad_array, water(), silicon(),
+                        OperatingPoint(flow_total=600 * MLPM), dt_max)
+
+
 def test_r_star_scale_invariance(quad_array):
     """Doubling chip side and N at the same per-nozzle flow keeps r_star, dp."""
     op = OperatingPoint(flow_total=600 * MLPM)

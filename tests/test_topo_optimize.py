@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jetcool.errors import InvalidInputError
 from jetcool.props import water
 from jetcool.topo import (DensityField, Grid2D, Segment, TopoProblem,
                           export_density, objective, optimize,
@@ -165,6 +166,21 @@ def test_q_continuation_sharpens(tmp_path):
     assert iters == sorted(iters)
     assert res.eps.eps.min() >= 0.0 and res.eps.eps.max() <= 1.0
     assert res.eps.volume_fraction <= 0.4 + 1e-9
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lambda1", np.nan), ("lambda2", 0.0), ("u_ref", np.inf),
+    ("u_ref", -0.01)])
+def test_problem_weights_validated(field, value):
+    with pytest.raises(InvalidInputError, match=field):
+        TopoProblem(grid=small_manifold(), fluid=water(),
+                    **{field: value})
+
+
+def test_negative_max_iters_rejected():
+    problem = TopoProblem(grid=small_manifold(), fluid=water())
+    with pytest.raises(InvalidInputError, match="max_iters"):
+        optimize(problem, max_iters=-3)
 
 
 def test_problem_file_roundtrip(tmp_path):
