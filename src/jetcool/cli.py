@@ -182,23 +182,18 @@ def _build_mode(cp) -> explorer.ConstraintMode:
 
 
 def _write_sweep_csv(rows, path: Path) -> None:
-    with open(path, "w") as fh:
-        fh.write(SWEEP_HEADER + "\n")
-        for row in rows:
-            if row.report is None:
-                base = [row.n, row.di_over_L, row.do_over_L, row.H_over_L,
-                        row.t_over_L, 0.0]
-                fh.write(",".join(_fmt(v) for v in base)
-                         + "," + ",".join([""] * 9)
-                         + f",{row.status},\n")
-                continue
-            r = row.report
-            vals = [row.n, row.di_over_L, row.do_over_L, row.H_over_L,
-                    row.t_over_L, row.flow / MLPM, r.re, r.nu_f, r.nu_j,
-                    r.htc, r.r_th, r.r_star, r.dp, r.w_p, r.cop]
-            warn = ";".join(r.warnings)
-            fh.write(",".join(_fmt(v) for v in vals)
-                     + f",{row.status},{warn}\n")
+    """One line per row; infeasible rows (flow 0) leave the metrics empty."""
+    lines = [SWEEP_HEADER]
+    for row in rows:
+        r = row.report
+        cells = [_fmt(v) for v in (row.n, row.di_over_L, row.do_over_L,
+                                   row.H_over_L, row.t_over_L, row.flow / MLPM)]
+        cells += ([_fmt(v) for v in (r.re, r.nu_f, r.nu_j, r.htc, r.r_th,
+                                     r.r_star, r.dp, r.w_p, r.cop)]
+                  if r else [""] * 9)
+        cells += [row.status, ";".join(r.warnings) if r else ""]
+        lines.append(",".join(cells))
+    path.write_text("\n".join(lines) + "\n")
 
 
 def cmd_explore(args) -> int:
@@ -492,7 +487,8 @@ def _benchmark_rows(fixture_path: str | None):
     else:
         fh = open(fixture_path, newline="")
     with fh:
-        reader = csv.DictReader(fh)
+        # a short row reads as empty cells, reported like missing values
+        reader = csv.DictReader(fh, restval="")
         missing = sorted(_FIXTURE_COLUMNS - set(reader.fieldnames or ()))
         if missing:
             raise ConfigError(f"{fixture_path}: missing columns {missing}")

@@ -58,12 +58,14 @@ def value(sec, key: str, default=REQUIRED, scale: float = 1.0, cast=float):
 
 
 def values(sec, key: str, cast=float, default=REQUIRED) -> tuple:
-    """A whitespace- or comma-separated list entry, each item as ``cast``."""
+    """A non-empty whitespace- or comma-separated list entry, each item as
+    ``cast``."""
     if key not in sec and default is not REQUIRED:
         return default
-    text = value(sec, key, cast=str)
-    return tuple(_convert(sec, key, tok, cast)
-                 for tok in text.replace(",", " ").split())
+    tokens = value(sec, key, cast=str).replace(",", " ").split()
+    if not tokens:
+        raise ConfigError(f"[{sec.name}] {key} is an empty list")
+    return tuple(_convert(sec, key, tok, cast) for tok in tokens)
 
 
 def fluid(cp: configparser.ConfigParser) -> pr.FluidProps:

@@ -2,7 +2,9 @@
 
 The predictors return a value together with machine-readable validity
 warnings: design exploration legitimately probes outside the fitted ranges,
-so out-of-range inputs are never clamped and never fatal.
+so out-of-range inputs are never clamped and never fatal. The predictive
+chain (``PredictiveInputs`` through ``nu_to_htc``) takes floats or arrays
+of designs alike; for arrays the warnings are one tuple per design.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, UnderdeterminedFitError
+from .errors import InvalidInputError, UnderdeterminedFitError, check
 
 
 class Basis(Enum):
@@ -42,7 +44,8 @@ class FrictionPrediction(NamedTuple):
 
 @dataclass(frozen=True)
 class PredictiveInputs:
-    """Dimensionless arguments of the fitted predictive models."""
+    """Dimensionless arguments of the fitted predictive models (floats, or
+    arrays with one element per design)."""
 
     di_over_L: float
     do_over_L: float
@@ -53,10 +56,27 @@ class PredictiveInputs:
     def __post_init__(self) -> None:
         for name in ("di_over_L", "do_over_L", "H_over_L", "t_over_L"):
             val = getattr(self, name)
-            if not (math.isfinite(val) and val > 0):
-                raise InvalidInputError(f"{name} must be > 0, got {val}")
-        if not (math.isfinite(self.re) and self.re >= 0):
-            raise InvalidInputError(f"re must be >= 0, got {self.re}")
+            check((val > 0) & (val < math.inf), "{} must be > 0, got {}",
+                  name, val)
+        check((self.re >= 0) & (self.re < math.inf),
+              "re must be >= 0, got {}", self.re)
+
+
+def _flagged(*flags) -> tuple[str, ...] | list[tuple[str, ...]]:
+    """Validity warnings "name:value" from (name, mask, value) flags.
+
+    For scalar flags one tuple, in flag order. For arrays one such tuple per
+    design, with strings formatted only for the designs that are flagged.
+    """
+    if not any(isinstance(mask, np.ndarray) for _, mask, _ in flags):
+        return tuple(f"{name}:{val:g}" for name, mask, val in flags if mask)
+    shape = np.broadcast_shapes(*(np.shape(m) for _, m, _ in flags))
+    out: list[tuple[str, ...]] = [()] * shape[0]
+    for name, mask, val in flags:
+        val = np.broadcast_to(val, shape)
+        for i in np.flatnonzero(np.broadcast_to(mask, shape)):
+            out[i] += (f"{name}:{val[i]:g}",)
+    return out
 
 
 def nu_f_predict(inputs: PredictiveInputs) -> Prediction:
@@ -66,21 +86,29 @@ def nu_f_predict(inputs: PredictiveInputs) -> Prediction:
     with a = d_i/L; the fit holds for d_o/L = d_i/L, a in [0.01, 0.4],
     H/L in [0.01, 0.4], Re in [32, 2048] (confidence +-25%).
     """
-    a = inputs.di_over_L
-    warns = []
-    if not 0.01 <= a <= 0.4:
-        warns.append(f"di_over_L_out_of_range:{a:g}")
-    if not 0.01 <= inputs.H_over_L <= 0.4:
-        warns.append(f"H_over_L_out_of_range:{inputs.H_over_L:g}")
-    if not 32 <= inputs.re <= 2048:
-        warns.append(f"re_out_of_range:{inputs.re:g}")
-    if inputs.do_over_L < a:
-        # fit condition d_o/L = d_i/L; smaller outlets raise the pressure drop
-        # and can degrade heat transfer
-        warns.append(f"do_smaller_than_di:{inputs.do_over_L:g}")
+    a, h, re, do = (inputs.di_over_L, inputs.H_over_L, inputs.re,
+                    inputs.do_over_L)
     coef = 5.64 * a * a + 0.031 * a - 0.000632
-    value = coef * inputs.H_over_L ** -0.29 * inputs.re ** (0.48 * a ** -0.16)
-    return Prediction(value, tuple(warns))
+    value = coef * h ** -0.29 * re ** (0.48 * a ** -0.16)
+    # fit condition d_o/L = d_i/L; smaller outlets raise the pressure drop
+    # and can degrade heat transfer
+    return Prediction(value, _flagged(
+        ("di_over_L_out_of_range", (a < 0.01) | (a > 0.4), a),
+        ("H_over_L_out_of_range", (h < 0.01) | (h > 0.4), h),
+        ("re_out_of_range", (re < 32) | (re > 2048), re),
+        ("do_smaller_than_di", do < a, do)))
+
+
+#: The pressure coefficient k = f * (t/d_i) of ``friction_predict`` is
+#: friction_re_coef(a, H/L, t/L) * Re**F_RE_EXP + K_INF.
+F_RE_EXP = -0.73
+K_INF = 0.8
+
+
+def friction_re_coef(a, h_over_L, t_over_L):
+    """Coefficient of the Re**F_RE_EXP term of the pressure coefficient k."""
+    return ((21.2 * a + 14.5) * a ** -0.26 * (2.26 * t_over_L + 0.89)
+            * (0.37 * h_over_L ** 0.15 + 0.55))
 
 
 def friction_predict(inputs: PredictiveInputs) -> FrictionPrediction:
@@ -92,24 +120,15 @@ def friction_predict(inputs: PredictiveInputs) -> FrictionPrediction:
     Re in [32, 2048] (confidence +-15%). k relates to the pressure drop via
     dp = k * (1/2) rho V^2.
     """
-    a = inputs.di_over_L
-    if inputs.t_over_L <= 0:
-        raise InvalidInputError("t must be > 0 (t/d_i division)")
-    warns = []
-    if not 0.05 <= a <= 0.6:
-        warns.append(f"di_over_L_out_of_range:{a:g}")
-    if inputs.t_over_L < 0.1:
-        warns.append(f"t_over_L_out_of_range:{inputs.t_over_L:g}")
-    if inputs.H_over_L / a < 0.2:
-        warns.append(f"H_over_di_out_of_range:{inputs.H_over_L / a:g}")
-    if not 32 <= inputs.re <= 2048:
-        warns.append(f"re_out_of_range:{inputs.re:g}")
-    t_over_di = inputs.t_over_L / a
-    core = ((21.2 * a + 14.5) * inputs.re ** -0.73 * a ** -0.26
-            * (2.26 * inputs.t_over_L + 0.89)
-            * (0.37 * inputs.H_over_L ** 0.15 + 0.55))
-    f = (core + 0.8) / t_over_di
-    return FrictionPrediction(f, f * t_over_di, tuple(warns))
+    a, h, t, re = (inputs.di_over_L, inputs.H_over_L, inputs.t_over_L,
+                   inputs.re)
+    t_over_di = t / a
+    k = friction_re_coef(a, h, t) * re ** F_RE_EXP + K_INF
+    return FrictionPrediction(k / t_over_di, k, _flagged(
+        ("di_over_L_out_of_range", (a < 0.05) | (a > 0.6), a),
+        ("t_over_L_out_of_range", t < 0.1, t),
+        ("H_over_di_out_of_range", h / a < 0.2, h / a),
+        ("re_out_of_range", (re < 32) | (re > 2048), re)))
 
 
 def biot_correct(nu_f: float, bi: float) -> float:
@@ -118,8 +137,7 @@ def biot_correct(nu_f: float, bi: float) -> float:
     g(Bi) = 1 + Bi + (0.1 Bi + 1.1 Bi^2) folds 1D conduction and spreading in
     the die; g(0) = 1 so Nu_j -> Nu_f for a vanishing chip thickness.
     """
-    if bi < 0 or not math.isfinite(bi):
-        raise InvalidInputError(f"bi must be >= 0, got {bi}")
+    check((bi >= 0) & (bi < math.inf), "bi must be >= 0, got {}", bi)
     return nu_f / g_bi(bi)
 
 
@@ -129,8 +147,7 @@ def g_bi(bi: float) -> float:
 
 def nu_to_htc(nu: float, d_i: float, k_f: float) -> float:
     """Heat transfer coefficient h = Nu * k_f / d_i [W/(m2.K)]."""
-    if d_i <= 0 or not math.isfinite(d_i):
-        raise InvalidInputError(f"d_i must be > 0, got {d_i}")
+    check((d_i > 0) & (d_i < math.inf), "d_i must be > 0, got {}", d_i)
     return nu * k_f / d_i
 
 
@@ -180,8 +197,7 @@ def eval_catalog(entry: PowerLawCorrelation, re: float,
     when the entry carries the matching exponent; a Re outside the stated
     validity range is flagged, not rejected.
     """
-    if re <= 0 or not math.isfinite(re):
-        raise InvalidInputError(f"re must be > 0, got {re}")
+    check((re > 0) & (re < math.inf), "re must be > 0, got {}", re)
     warns = []
     if entry.re_min is not None and re < entry.re_min:
         warns.append(f"re_below_validity:{re:g}<{entry.re_min:g}")

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all jetcool modules."""
+"""Exception hierarchy shared by all jetcool modules, and the input check
+that raises its errors for floats and arrays alike."""
+
+import numpy as np
 
 
 class JetcoolError(Exception):
@@ -46,3 +49,17 @@ class NonMeaningfulResistanceError(JetcoolError):
 
 class UnderdeterminedFitError(InvalidInputError):
     """Too few distinct samples to fit the requested model."""
+
+
+def check(ok, message: str, *values,
+          error: type = InvalidInputError) -> None:
+    """Raise ``error(message.format(*values))`` unless the bool or boolean
+    array ``ok`` holds; array values are reported where ``ok`` first fails.
+    """
+    if ok is True or (ok is not False and ok.all()):
+        return
+    if np.ndim(ok):
+        first = int(np.argmin(ok))
+        values = [np.broadcast_to(v, np.shape(ok)).flat[first].item()
+                  for v in values]
+    raise error(message.format(*values))

@@ -12,10 +12,10 @@ import numpy as np
 
 from . import correlations as corr
 from . import props as pr
-from .errors import InfeasibleError, InvalidInputError
+from .errors import InfeasibleError, InvalidInputError, check
 from .geometry import CoolerArray, array_from_ratios
 from .performance import (DT_MAX_ALLOW_DEFAULT, OperatingPoint,
-                          PerformanceReport, evaluate_design, pressure_drop)
+                          PerformanceReport, dp_curve, evaluate_design)
 from .roots import bisect_bracket, bisect_monotone
 
 
@@ -45,6 +45,7 @@ class DesignSpace:
 
     def build(self, n: int, a: float, do: float, h: float,
               t: float) -> CoolerArray:
+        """One design, or with array arguments one array-valued CoolerArray."""
         return array_from_ratios(self.chip_side, n, a, do, h, t, self.t_c,
                                  self.heated_fraction)
 
@@ -61,8 +62,8 @@ class ConstraintMode:
     value: float          # m3/s, Pa or W depending on kind
 
     def __post_init__(self) -> None:
-        if self.value <= 0 or not math.isfinite(self.value):
-            raise InvalidInputError(f"constraint value must be > 0, got {self.value}")
+        check((self.value > 0) & (self.value < math.inf),
+              "constraint value must be > 0, got {}", self.value)
 
 
 @dataclass(frozen=True)
@@ -82,33 +83,33 @@ def sweep(space: DesignSpace, mode: ConstraintMode,
           inlet_temp: float = 10.0) -> list[SweepRow]:
     """Evaluate every design under the constraint.
 
+    All designs are evaluated as arrays in one ``evaluate_design`` call.
     const_flow evaluates directly; const_pressure / const_pump invert the
-    monotone dp(V) / V*dp(V) maps by bisection. Targets outside the
+    monotone dp(V) / V*dp(V) maps (``dp_curve``) with one bisection over all
+    designs, to ``roots.REL_TOL`` of the target. Targets outside the
     achievable range flag the row infeasible instead of aborting the sweep.
     Row order follows the design-space enumeration order.
     """
-    rows: list[SweepRow] = []
-    for n, a, do, h, t in space.designs():
-        array = space.build(n, a, do, h, t)
-        try:
-            if mode.kind is ConstraintKind.CONST_FLOW:
-                flow = mode.value
-            elif mode.kind is ConstraintKind.CONST_PRESSURE:
-                flow = bisect_monotone(
-                    lambda v: pressure_drop(array, space.fluid, v), mode.value,
-                    guess=1e-5, what="pressure target")
-            else:
-                flow = bisect_monotone(
-                    lambda v: v * pressure_drop(array, space.fluid, v),
-                    mode.value, guess=1e-5, what="pump-power target")
-            report = evaluate_design(
-                array, space.fluid, space.solid,
-                OperatingPoint(flow_total=flow, inlet_temp=inlet_temp),
-                dt_max_allow=dt_max_allow)
-            rows.append(SweepRow(n, a, do, h, t, flow, report, "ok"))
-        except InfeasibleError:
-            rows.append(SweepRow(n, a, do, h, t, 0.0, None, "infeasible"))
-    return rows
+    designs = list(space.designs())
+    if not designs:
+        return []
+    columns = [np.array(c) for c in zip(*designs)]
+    if mode.kind is ConstraintKind.CONST_FLOW:
+        flow = np.full(len(designs), mode.value)
+    else:
+        dp = dp_curve(space.build(*columns), space.fluid)
+        pump = mode.kind is ConstraintKind.CONST_PUMP
+        flow = bisect_monotone((lambda v: v * dp(v)) if pump else dp,
+                               mode.value, guess=1e-5)
+    ok = ~np.isnan(flow)
+    report = evaluate_design(
+        space.build(*(c[ok] for c in columns)), space.fluid, space.solid,
+        OperatingPoint(flow_total=flow[ok], inlet_temp=inlet_temp),
+        dt_max_allow=dt_max_allow)
+    reports = iter(report.rows())
+    return [SweepRow(*design, v, next(reports), "ok") if good
+            else SweepRow(*design, 0.0, None, "infeasible")
+            for design, v, good in zip(designs, flow.tolist(), ok.tolist())]
 
 
 def pareto_front(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -149,23 +150,17 @@ def cop_surface(space: DesignSpace, flow: float,
     Uses the first d_i/L and t/L of the space; one grid node per
     (n, H/L) pair.
     """
-    if flow <= 0:
-        raise InvalidInputError(f"flow must be > 0, got {flow}")
+    check(flow > 0, "flow must be > 0, got {}", flow)
     a = space.di_over_L[0]
     t = space.t_over_L[0]
-    cop = np.empty((len(space.n_values), len(space.H_over_L)))
-    density = []
-    for i, n in enumerate(space.n_values):
-        array = None
-        for j, h in enumerate(space.H_over_L):
-            array = space.build(n, a, a, h, t)
-            report = evaluate_design(array, space.fluid, space.solid,
-                                     OperatingPoint(flow_total=flow),
-                                     dt_max_allow=dt_max_allow)
-            cop[i, j] = report.cop
-        density.append(array.nozzle_density_cm2)
+    n, h = np.meshgrid(space.n_values, space.H_over_L, indexing="ij")
+    array = space.build(n.ravel(), a, a, h.ravel(), t)
+    report = evaluate_design(array, space.fluid, space.solid,
+                             OperatingPoint(flow_total=flow),
+                             dt_max_allow=dt_max_allow)
+    density = array.nozzle_density_cm2.reshape(n.shape)[:, 0]
     return CopGrid(tuple(space.n_values), tuple(space.H_over_L),
-                   tuple(density), cop)
+                   tuple(density.tolist()), report.cop.reshape(n.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +180,7 @@ def hotspot_scale(base_htc: float, base_flow_per_nozzle: float, n_sq: int,
     m = N^2/M (exact ratio, no rounding); htc* = m^0.67 htc, V* = m V,
     dp scales with m^2 at fixed total flow.
     """
-    if m_nozzles < 1:
-        raise InvalidInputError(f"m_nozzles must be >= 1, got {m_nozzles}")
+    check(m_nozzles >= 1, "m_nozzles must be >= 1, got {}", m_nozzles)
     if n_sq < m_nozzles:
         raise InvalidInputError(
             f"n_sq {n_sq} must be >= m_nozzles {m_nozzles}")
@@ -211,10 +205,8 @@ class PowerMap:
     def __post_init__(self) -> None:
         object.__setattr__(self, "density_w_cm2",
                            np.asarray(self.density_w_cm2, dtype=float))
-        if not np.all(np.isfinite(self.density_w_cm2)):
-            raise InvalidInputError("power densities must be finite")
-        if np.any(self.density_w_cm2 < 0):
-            raise InvalidInputError("power densities must be >= 0")
+        check(np.isfinite(self.density_w_cm2), "power densities must be finite")
+        check(self.density_w_cm2 >= 0, "power densities must be >= 0")
 
     @property
     def total_power(self) -> float:
@@ -262,12 +254,9 @@ def hotspot_synthesize(power_map: PowerMap, flow_total: float,
             f"fitted constants hold for {htc_model.pitch_mm} mm pitch; "
             f"map pitch is {pitch_mm} mm — supply refitted models")
     d_min, d_max = bounds
-    if not 0 < d_min < d_max:
-        raise InvalidInputError(f"bad diameter bounds {bounds}")
-    if power_map.total_power <= 0:
-        raise InvalidInputError("total map power must be > 0")
-    if dT_target <= 0:
-        raise InvalidInputError("dT_target must be > 0")
+    check((0 < d_min) & (d_min < d_max), "bad diameter bounds {}", bounds)
+    check(power_map.total_power > 0, "total map power must be > 0")
+    check(dT_target > 0, "dT_target must be > 0")
     flow_total_mlpm = flow_total / M3S_PER_MLPM
 
     density = power_map.density_w_cm2

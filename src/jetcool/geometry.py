@@ -3,7 +3,9 @@
 The repeating tile of an N x N array is the unit cell: one inlet nozzle of
 diameter d_i surrounded by outlets of diameter d_o, on a pitch
 L = chip_side / N, under a cavity of height H behind a nozzle plate of
-thickness t, cooling a chip of thickness t_c. All lengths in meters.
+thickness t, cooling a chip of thickness t_c. All lengths in meters. Every
+length, ratio and count may also be an array, one element per design; the
+checks then hold element by element.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidGeometryError, InvalidInputError
+from .errors import InvalidGeometryError, check
 
 CM2_PER_M2 = 1e4
 
@@ -28,14 +30,13 @@ class UnitCell:
     def __post_init__(self) -> None:
         for name in ("L", "d_i", "d_o", "H", "t", "t_c"):
             val = getattr(self, name)
-            if not (math.isfinite(val) and val > 0):
-                raise InvalidGeometryError(f"{name} must be finite and > 0, got {val}")
-        if self.d_i >= self.L:
-            raise InvalidGeometryError(
-                f"inlet diameter {self.d_i} must be smaller than the pitch {self.L}")
-        if self.d_o >= self.L:
-            raise InvalidGeometryError(
-                f"outlet diameter {self.d_o} must be smaller than the pitch {self.L}")
+            check((val > 0) & (val < math.inf),
+                  "{} must be finite and > 0, got {}", name, val,
+                  error=InvalidGeometryError)
+        check(self.d_i < self.L, "inlet diameter {} must be smaller than the "
+              "pitch {}", self.d_i, self.L, error=InvalidGeometryError)
+        check(self.d_o < self.L, "outlet diameter {} must be smaller than the "
+              "pitch {}", self.d_o, self.L, error=InvalidGeometryError)
 
     @property
     def di_over_L(self) -> float:
@@ -73,14 +74,14 @@ class CoolerArray:
     heated_fraction: float = 0.75
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidGeometryError(f"n must be >= 1, got {self.n}")
-        if not (0 < self.heated_fraction <= 1):
-            raise InvalidGeometryError(
-                f"heated_fraction must be in (0, 1], got {self.heated_fraction}")
-        if abs(self.cell.L * self.n - self.chip_side) > 1e-12 * self.chip_side:
-            raise InvalidGeometryError(
-                f"cell pitch {self.cell.L} x n {self.n} != chip side {self.chip_side}")
+        check(self.n >= 1, "n must be >= 1, got {}", self.n,
+              error=InvalidGeometryError)
+        hf = self.heated_fraction
+        check((hf > 0) & (hf <= 1), "heated_fraction must be in (0, 1], got {}",
+              hf, error=InvalidGeometryError)
+        check(abs(self.cell.L * self.n - self.chip_side)
+              <= 1e-12 * self.chip_side, "cell pitch {} x n {} != chip side {}",
+              self.cell.L, self.n, self.chip_side, error=InvalidGeometryError)
 
     @property
     def area(self) -> float:
@@ -110,12 +111,11 @@ def array_from_ratios(chip_side: float, n: int, di_over_L: float,
                       do_over_L: float, H_over_L: float, t_over_L: float,
                       tc: float, heated_fraction: float = 0.75) -> CoolerArray:
     """Build a CoolerArray from dimensionless ratios and absolute chip size."""
-    if n < 1:
-        raise InvalidGeometryError(f"n must be >= 1, got {n}")
-    if not (0 < di_over_L < 1):
-        raise InvalidGeometryError(f"d_i/L must be in (0, 1), got {di_over_L}")
-    if not (0 < do_over_L < 1):
-        raise InvalidGeometryError(f"d_o/L must be in (0, 1), got {do_over_L}")
+    check(n >= 1, "n must be >= 1, got {}", n, error=InvalidGeometryError)
+    check((di_over_L > 0) & (di_over_L < 1), "d_i/L must be in (0, 1), got {}",
+          di_over_L, error=InvalidGeometryError)
+    check((do_over_L > 0) & (do_over_L < 1), "d_o/L must be in (0, 1), got {}",
+          do_over_L, error=InvalidGeometryError)
     L = chip_side / n
     cell = UnitCell(L=L, d_i=di_over_L * L, d_o=do_over_L * L,
                     H=H_over_L * L, t=t_over_L * L, t_c=tc)
@@ -130,16 +130,14 @@ def normalize(r_th: float, w_p: float, v_dot: float,
     area is the chip area in m2. Returns the conventional mixed units:
     (r_star [K.cm2/W], w_star [W/cm2], v_star [(m3/s)/cm2]).
     """
-    if not (math.isfinite(area) and area > 0):
-        raise InvalidInputError(f"area must be > 0, got {area}")
+    check((area > 0) & (area < math.inf), "area must be > 0, got {}", area)
     area_cm2 = area * CM2_PER_M2
     return r_th * area_cm2, w_p / area_cm2, v_dot / area_cm2
 
 
 def per_nozzle_flow(v_total: float, n: int) -> float:
     """Flow rate through one nozzle of an N x N array: V_total / N^2."""
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
+    check(n >= 1, "n must be >= 1, got {}", n)
     return v_total / (n * n)
 
 
@@ -148,8 +146,7 @@ def extrapolate_power(r_star: float, area_cm2: float, dT_allow: float) -> float:
 
     P = dT_allow * area / r_star with r_star in K.cm2/W and area in cm2.
     """
-    if not (math.isfinite(r_star) and r_star > 0):
-        raise InvalidInputError(f"r_star must be > 0, got {r_star}")
-    if area_cm2 < 0 or dT_allow < 0:
-        raise InvalidInputError("area and dT_allow must be >= 0")
+    check((r_star > 0) & (r_star < math.inf), "r_star must be > 0, got {}",
+          r_star)
+    check((area_cm2 >= 0) & (dT_allow >= 0), "area and dT_allow must be >= 0")
     return dT_allow * area_cm2 / r_star

@@ -3,23 +3,25 @@
 Chains the dimensionless predictors into engineering outputs (htc, thermal
 resistance, pressure drop, pumping power, COP), decomposes the cell pressure
 drop, models lidded-package series resistance, reduces multi-chip coupling
-measurements and compares coolants.
+measurements and compares coolants. ``evaluate_design`` and ``dp_curve``
+take one design or arrays of designs (an array-valued ``CoolerArray``), and
+arrays of coolants (an array-valued ``FluidProps``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import correlations as corr
 from . import props as pr
-from .errors import (InvalidGeometryError, InvalidInputError, NoFlowError,
-                     NonMeaningfulResistanceError)
+from . import roots
+from .errors import (InfeasibleError, InvalidGeometryError, InvalidInputError,
+                     NoFlowError, NonMeaningfulResistanceError, check)
 from .geometry import CM2_PER_M2, CoolerArray, UnitCell, normalize, per_nozzle_flow
-from .roots import bisect_monotone
 
 #: Default maximum allowed chip temperature increase for COP [K].
 DT_MAX_ALLOW_DEFAULT = 60.0
@@ -33,11 +35,10 @@ class OperatingPoint:
     ambient_temp: float = 25.0  # degC
 
     def __post_init__(self) -> None:
-        if self.flow_total < 0 or not math.isfinite(self.flow_total):
-            raise InvalidInputError(f"flow_total must be >= 0, got {self.flow_total}")
-        if self.chip_power < 0 or not math.isfinite(self.chip_power):
-            raise InvalidInputError(
-                f"chip_power must be finite and >= 0, got {self.chip_power}")
+        check((self.flow_total >= 0) & (self.flow_total < math.inf),
+              "flow_total must be >= 0, got {}", self.flow_total)
+        check((self.chip_power >= 0) & (self.chip_power < math.inf),
+              "chip_power must be finite and >= 0, got {}", self.chip_power)
         pr._require_finite(inlet_temp=self.inlet_temp,
                            ambient_temp=self.ambient_temp)
 
@@ -60,30 +61,34 @@ class PerformanceReport:
     flow_per_nozzle: float  # m3/s
     warnings: tuple[str, ...] = ()
 
+    def rows(self) -> list[PerformanceReport]:
+        """One float-valued report per design of an array-valued report."""
+        names = [f.name for f in fields(self)][:-1]
+        shape = (len(self.warnings),)
+        columns = [np.broadcast_to(getattr(self, n), shape).tolist()
+                   for n in names]
+        return [PerformanceReport(*vals, warnings=w)
+                for *vals, w in zip(*columns, self.warnings)]
+
 
 def evaluate_design(array: CoolerArray, fluid: pr.FluidProps,
                     solid: pr.SolidProps, op: OperatingPoint,
                     dt_max_allow: float = DT_MAX_ALLOW_DEFAULT) -> PerformanceReport:
-    """Full performance chain for one design point.
+    """Full performance chain for one design point, or for arrays of them.
 
     Nozzle velocity -> Re -> Nu_f -> Biot-corrected Nu_j -> htc -> R_th, and
     pressure coefficient k -> dp = k * (1/2) rho V^2 -> W_p = V_dot * dp,
     COP = (dt_max_allow / R_th) / W_p. Validity warnings from the fitted
-    correlations are carried through in the report.
+    correlations are carried through in the report; with array-valued
+    designs every report field is an array and ``warnings`` holds one tuple
+    per design.
     """
-    if not (math.isfinite(dt_max_allow) and dt_max_allow > 0):
-        raise InvalidInputError(
-            f"dt_max_allow must be finite and > 0, got {dt_max_allow}")
-    if op.flow_total == 0:
-        raise NoFlowError("flow_total is zero")
+    check((dt_max_allow > 0) & (dt_max_allow < math.inf),
+          "dt_max_allow must be finite and > 0, got {}", dt_max_allow)
+    check(op.flow_total != 0, "flow_total is zero", error=NoFlowError)
     cell = array.cell
     flow_pn = per_nozzle_flow(op.flow_total, array.n)
-    v_bar = flow_pn / cell.nozzle_area
-    re = pr.reynolds(fluid, cell.d_i, v_bar)
-    inputs = corr.PredictiveInputs(di_over_L=cell.di_over_L,
-                                   do_over_L=cell.do_over_L,
-                                   H_over_L=cell.H_over_L,
-                                   t_over_L=cell.t_over_L, re=re)
+    v_bar, inputs = _jet(array, fluid, op.flow_total)
     nu_f, nu_warns = corr.nu_f_predict(inputs)
     bi = pr.biot(nu_f, cell.t_c, cell.d_i, fluid.conductivity,
                  solid.conductivity)
@@ -94,12 +99,39 @@ def evaluate_design(array: CoolerArray, fluid: pr.FluidProps,
     dp = friction.k * 0.5 * fluid.density * v_bar ** 2
     w_p = op.flow_total * dp
     r_star, _, _ = normalize(r_th, w_p, op.flow_total, array.area)
-    warns = tuple(dict.fromkeys(tuple(nu_warns) + tuple(friction.warnings)))
+    warns = ([tuple(dict.fromkeys(a + b)) for a, b
+              in zip(nu_warns, friction.warnings)] if isinstance(nu_warns, list)
+             else tuple(dict.fromkeys(nu_warns + friction.warnings)))
     return PerformanceReport(
-        re=re, pr=pr.prandtl(fluid), nu_f=nu_f, bi=bi, nu_j=nu_j, htc=htc,
-        r_th=r_th, r_star=r_star, dT_avg=op.chip_power * r_th, dp=dp, w_p=w_p,
-        cop=(dt_max_allow / r_th) / w_p, v_nozzle=v_bar, flow_per_nozzle=flow_pn,
-        warnings=warns)
+        re=inputs.re, pr=pr.prandtl(fluid), nu_f=nu_f, bi=bi, nu_j=nu_j,
+        htc=htc, r_th=r_th, r_star=r_star, dT_avg=op.chip_power * r_th, dp=dp,
+        w_p=w_p, cop=(dt_max_allow / r_th) / w_p, v_nozzle=v_bar,
+        flow_per_nozzle=flow_pn, warnings=warns)
+
+
+def _jet(array: CoolerArray, fluid: pr.FluidProps, flow):
+    """Mean nozzle velocity [m/s] and the predictive inputs at total flow."""
+    cell = array.cell
+    v_bar = per_nozzle_flow(flow, array.n) / cell.nozzle_area
+    re = pr.reynolds(fluid, cell.d_i, v_bar)
+    return v_bar, corr.PredictiveInputs(cell.di_over_L, cell.do_over_L,
+                                        cell.H_over_L, cell.t_over_L, re)
+
+
+def dp_curve(array: CoolerArray, fluid: pr.FluidProps):
+    """Cell pressure drop dp(V) [Pa] as a function of total flow V [m3/s].
+
+    Re and the nozzle velocity are proportional to V, so the two terms of
+    the pressure coefficient k (``correlations.friction_re_coef``) make
+    dp(V) = A V^(2 + F_RE_EXP) + B V^2, strictly increasing in V. With
+    array-valued designs or fluids, A and B are arrays and so is dp(V).
+    """
+    v_unit, inputs = _jet(array, fluid, 1.0)
+    q_unit = 0.5 * fluid.density * v_unit ** 2
+    a_coef = q_unit * inputs.re ** corr.F_RE_EXP * corr.friction_re_coef(
+        inputs.di_over_L, inputs.H_over_L, inputs.t_over_L)
+    b_coef = q_unit * corr.K_INF
+    return lambda v: a_coef * v ** (2.0 + corr.F_RE_EXP) + b_coef * v * v
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +167,10 @@ def pressure_decomposition(cell: UnitCell, fluid: pr.FluidProps,
     dp = 12 mu v (L - d_i) / (2 L H^3), realizing the ~L*V/H^4 cavity scaling
     per unit width with a standard laminar constant (first order only).
     """
-    if v_nozzle < 0 or not math.isfinite(v_nozzle):
-        raise InvalidInputError(f"v_nozzle must be >= 0, got {v_nozzle}")
-    if cell.d_i <= 0 or cell.d_o <= 0:
-        raise InvalidGeometryError("nozzle diameters must be > 0")
+    check((v_nozzle >= 0) & (v_nozzle < math.inf),
+          "v_nozzle must be >= 0, got {}", v_nozzle)
+    check((cell.d_i > 0) & (cell.d_o > 0), "nozzle diameters must be > 0",
+          error=InvalidGeometryError)
     mu = fluid.viscosity
 
     def hagen_poiseuille(d: float) -> float:
@@ -159,15 +191,15 @@ def lidded_series(r_star: float, tim_resistivity: float,
     """1D series stack [K.cm2/W]: cooler + TIM + lid, no spreading."""
     for name, val in (("r_star", r_star), ("tim_resistivity", tim_resistivity),
                       ("lid_resistivity", lid_resistivity)):
-        if val < 0 or not math.isfinite(val):
-            raise InvalidInputError(f"{name} must be >= 0, got {val}")
+        check((val >= 0) & (val < math.inf), "{} must be >= 0, got {}",
+              name, val)
     return r_star + tim_resistivity + lid_resistivity
 
 
 def slab_resistivity(thickness: float, conductivity: float) -> float:
     """Area-normalized 1D slab resistance thickness/k, in K.cm2/W."""
-    if thickness < 0 or conductivity <= 0:
-        raise InvalidInputError("thickness >= 0 and conductivity > 0 required")
+    check((thickness >= 0) & (conductivity > 0),
+          "thickness >= 0 and conductivity > 0 required")
     return thickness / conductivity * CM2_PER_M2
 
 
@@ -243,33 +275,17 @@ class CoolantRating(NamedTuple):
     warnings: tuple[str, ...] = ()
 
 
-def _htc_with_pr(array: CoolerArray, fluid: pr.FluidProps,
-                 flow_total: float) -> tuple[float, tuple[str, ...]]:
+def _htc_with_pr(array: CoolerArray, fluid: pr.FluidProps, flow_total):
     """Predicted htc with a Pr^(1/3) factor on the fixed-Pr correlation.
 
     The fitted Nu model holds at one Prandtl number; the multiplicative
     Pr^(1/3) follows the survey correlations and is a flagged approximation.
     """
-    cell = array.cell
-    v_bar = per_nozzle_flow(flow_total, array.n) / cell.nozzle_area
-    re = pr.reynolds(fluid, cell.d_i, v_bar)
-    inputs = corr.PredictiveInputs(cell.di_over_L, cell.do_over_L,
-                                   cell.H_over_L, cell.t_over_L, re)
+    _, inputs = _jet(array, fluid, flow_total)
     nu_f, warns = corr.nu_f_predict(inputs)
     htc = corr.nu_to_htc(nu_f * pr.prandtl(fluid) ** (1.0 / 3.0),
-                         cell.d_i, fluid.conductivity)
+                         array.cell.d_i, fluid.conductivity)
     return htc, warns
-
-
-def pressure_drop(array: CoolerArray, fluid: pr.FluidProps,
-                  flow: float) -> float:
-    """Cell pressure drop [Pa] at total flow [m3/s]: k * (1/2) rho V^2."""
-    cell = array.cell
-    v_bar = per_nozzle_flow(flow, array.n) / cell.nozzle_area
-    re = pr.reynolds(fluid, cell.d_i, v_bar)
-    inputs = corr.PredictiveInputs(cell.di_over_L, cell.do_over_L,
-                                   cell.H_over_L, cell.t_over_L, re)
-    return corr.friction_predict(inputs).k * 0.5 * fluid.density * v_bar ** 2
 
 
 def coolant_compare(coolants: Sequence[pr.FluidProps], reference: pr.FluidProps,
@@ -279,23 +295,27 @@ def coolant_compare(coolants: Sequence[pr.FluidProps], reference: pr.FluidProps,
 
     const_flow evaluates everything at op.flow_total; const_pump first solves
     each coolant's flow so that V*dp(V) matches the reference pumping power
-    (bisection; dp is strictly increasing in V).
+    (``dp_curve``, one array bisection). All coolants are evaluated as one
+    array-valued fluid.
     """
     if mode not in ("const_flow", "const_pump"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     if op.flow_total <= 0:
         raise NoFlowError("flow_total must be > 0")
+    fluids = pr.FluidProps("coolants", *(
+        np.array([getattr(c, f) for c in coolants])
+        for f in ("density", "viscosity", "specific_heat", "conductivity",
+                  "reference_temp")))
+    flow = np.full(len(coolants), op.flow_total)
+    if mode == "const_pump":
+        w_ref = op.flow_total * dp_curve(array, reference)(op.flow_total)
+        dp = dp_curve(array, fluids)
+        flow = roots.bisect_monotone(lambda v: v * dp(v), w_ref, op.flow_total)
+        check(~np.isnan(flow), "pump power for {}: could not bracket the "
+              "target", np.array([c.name for c in coolants]),
+              error=InfeasibleError)
     htc_ref, _ = _htc_with_pr(array, reference, op.flow_total)
-    w_ref = op.flow_total * pressure_drop(array, reference, op.flow_total)
-    out = []
-    for coolant in coolants:
-        if mode == "const_flow":
-            flow = op.flow_total
-        else:
-            flow = bisect_monotone(
-                lambda v: v * pressure_drop(array, coolant, v), w_ref,
-                guess=op.flow_total, what=f"pump power for {coolant.name}")
-        htc, warns = _htc_with_pr(array, coolant, flow)
-        out.append(CoolantRating(coolant.name, htc / htc_ref, flow, warns))
-    return out
+    htc, warns = _htc_with_pr(array, fluids, flow)
+    return [CoolantRating(c.name, h / htc_ref, v, w) for c, h, v, w
+            in zip(coolants, htc.tolist(), flow.tolist(), warns)]
 

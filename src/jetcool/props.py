@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check
 
 #: Prandtl number used when the predictive correlations were fitted
 #: (representative DI-water value). The catalog water entry evaluates to
@@ -26,8 +26,8 @@ PR_PAPER = 7.56
 
 def _require_finite(**values: float) -> None:
     for name, val in values.items():
-        if not math.isfinite(val):
-            raise InvalidInputError(f"{name} must be finite, got {val!r}")
+        check((val > -math.inf) & (val < math.inf),
+              "{} must be finite, got {!r}", name, val)
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,8 @@ class FluidProps:
     """Constant-property liquid coolant.
 
     density kg/m3, viscosity kg/(m.s), specific_heat J/(kg.K),
-    conductivity W/(m.K), reference_temp degC.
+    conductivity W/(m.K), reference_temp degC. Array-valued properties
+    describe several coolants at once, one per element.
     """
 
     name: str
@@ -49,10 +50,10 @@ class FluidProps:
         for field in ("density", "viscosity", "specific_heat",
                       "conductivity", "reference_temp"):
             val = getattr(self, field)
-            _require_finite(**{field: val})
-            if val <= 0:
-                raise InvalidInputError(
-                    f"fluid {self.name!r}: {field} must be > 0, got {val}")
+            check((val > -math.inf) & (val < math.inf),
+                  "{} must be finite, got {!r}", field, val)
+            check(val > 0, "fluid {!r}: {} must be > 0, got {}", self.name,
+                  field, val)
 
 
 @dataclass(frozen=True)
@@ -64,18 +65,16 @@ class SolidProps:
 
     def __post_init__(self) -> None:
         _require_finite(conductivity=self.conductivity)
-        if self.conductivity <= 0:
-            raise InvalidInputError(
-                f"solid {self.name!r}: conductivity must be > 0")
+        check(self.conductivity > 0, "solid {!r}: conductivity must be > 0",
+              self.name)
 
 
 def reynolds(fluid: FluidProps, d: float, v: float) -> float:
-    """Nozzle Reynolds number rho*d*V/mu for diameter d [m], velocity v [m/s]."""
+    """Nozzle Reynolds number rho*d*V/mu for diameter d [m], velocity v [m/s]
+    (floats or arrays)."""
     _require_finite(d=d, v=v)
-    if d <= 0:
-        raise InvalidInputError(f"diameter must be > 0, got {d}")
-    if v < 0:
-        raise InvalidInputError(f"velocity must be >= 0, got {v}")
+    check(d > 0, "diameter must be > 0, got {}", d)
+    check(v >= 0, "velocity must be >= 0, got {}", v)
     return fluid.density * d * v / fluid.viscosity
 
 
@@ -88,15 +87,12 @@ def biot(nu_f: float, t_c: float, d_i: float, k_f: float, k_s: float) -> float:
     """Conduction/convection Biot number Nu_f * (t_c/d_i) * (k_f/k_s).
 
     t_c is the chip thickness [m], d_i the nozzle diameter [m]; zero t_c or
-    zero Nu_f give Bi = 0 (no conduction penalty).
+    zero Nu_f give Bi = 0 (no conduction penalty). Floats or arrays.
     """
     _require_finite(nu_f=nu_f, t_c=t_c, d_i=d_i, k_f=k_f, k_s=k_s)
-    if d_i <= 0:
-        raise InvalidInputError(f"d_i must be > 0, got {d_i}")
-    if k_s <= 0:
-        raise InvalidInputError(f"k_s must be > 0, got {k_s}")
-    if nu_f < 0 or t_c < 0:
-        raise InvalidInputError("nu_f and t_c must be >= 0")
+    check(d_i > 0, "d_i must be > 0, got {}", d_i)
+    check(k_s > 0, "k_s must be > 0, got {}", k_s)
+    check((nu_f >= 0) & (t_c >= 0), "nu_f and t_c must be >= 0")
     return nu_f * (t_c / d_i) * (k_f / k_s)
 
 

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import config
-from ..errors import InvalidInputError
+from ..errors import ConfigError, InvalidInputError
 # Unused here: perfbench/spans.py patches jetcool.topo.io.builtin_fluids and
 # fails without it. Drop it with the next change to that target list.
 from ..props import builtin_fluids  # noqa: F401
@@ -70,6 +70,8 @@ def parse_problem_file(path: str | Path) -> tuple[TopoProblem, int, tuple]:
     seg_text = config.value(config.section(cp, "segments"), "list", cast=str)
     segments = [_parse_segment(line)
                 for line in seg_text.strip().splitlines()]
+    if nx < 1 or ny < 1:    # before the cell sizes divide by them
+        raise ConfigError(f"[grid] nx and ny must be >= 1, got {nx}, {ny}")
     grid = Grid2D(nx=nx, ny=ny, dx=lx / nx, dy=ly / ny, segments=segments)
 
     psec = config.section(cp, "problem")

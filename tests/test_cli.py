@@ -386,6 +386,27 @@ list =
 """)
         assert run(["topo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("key", ["nx", "ny"])
+    def test_zero_cells_exit_2(self, tmp_path, capsys, key):
+        text = """
+[grid]
+nx = 8
+ny = 8
+lx_mm = 2
+ly_mm = 2
+
+[fluid]
+name = water
+
+[segments]
+list =
+    left 0 8 inlet constant 0.01
+    right 0 8 outlet_pressure
+""".replace(f"{key} = 8", f"{key} = 0")
+        cfg = write(tmp_path, "t.ini", text)
+        assert run(["topo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "[grid] nx and ny must be >= 1" in capsys.readouterr().err
+
     def test_selftest(self, capsys):
         assert run(["topo", "--selftest"]) == 0
         out = capsys.readouterr().out
@@ -486,6 +507,22 @@ class TestBenchmark:
                     "--out", str(out)]) == 0
         lines = (out / "benchmark.csv").read_text().splitlines()
         assert len(lines) == 1
+
+    def test_short_row_flagged(self, tmp_path, capsys):
+        fixture = tmp_path / "short.csv"
+        fixture.write_text(
+            "material,authors,year,application,coolant,n_jets,"
+            "nozzle_diameter,chip_area_cm2,power_or_flux,flow,dp,pump_w,"
+            "thermal_metric,thermal_metric_unit\n"
+            "Si,E.N. Wang,2004,TTV,Water,4,76 um,1\n")
+        out = tmp_path / "out"
+        assert run(["benchmark", "--fixture", str(fixture),
+                    "--out", str(out)]) == 0
+        rows = list(csv.DictReader((out / "benchmark.csv").open()))
+        assert rows == [{"label": "E.N. Wang 2004", "material": "Si",
+                         "r_star_Kcm2_W": "", "w_star_W_cm2": "",
+                         "warnings": "no_pump_power"}]
+        assert capsys.readouterr().err == ""
 
     def test_missing_column_exit_2(self, tmp_path, capsys):
         fixture = tmp_path / "noauthors.csv"

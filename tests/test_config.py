@@ -41,6 +41,11 @@ class TestValue:
         with pytest.raises(ConfigError, match=r"\[s\] n"):
             config.values(sec, "n", int)
 
+    @pytest.mark.parametrize("text", ["", " , "])
+    def test_values_rejects_empty_list(self, text):
+        with pytest.raises(ConfigError, match=r"\[s\] e is an empty list"):
+            config.values(section(f"e = {text}\n"), "e")
+
 
 # Minimal configs: every key below is required by its command.
 FLUID = {"density_kg_m3": "998", "viscosity_kg_ms": "1e-3",
@@ -141,6 +146,19 @@ def test_sweep_n_must_be_integer(tmp_path, capsys):
     assert run(["explore", "--config", str(cfg),
                 "--out", str(tmp_path / "out")]) == 2
     assert "[sweep] n = '4.7'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, sec, key", [
+    ("explore", "sweep", "di_over_l"), ("explore", "sweep", "n"),
+    ("cop", "cop", "n"), ("cop", "cop", "h_over_l")])
+def test_empty_list_exits_2(tmp_path, capsys, command, sec, key):
+    sections = MINIMAL[command]
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(render({**sections, sec: {**sections[sec], key: ""}}, ""))
+    assert run([command, "--config", str(cfg),
+                "--out", str(tmp_path / "out")]) == 2
+    assert f"[{sec}] {key} is an empty list" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key", ["di_over_l", "t_over_l"])
