@@ -5,7 +5,8 @@ Modules: props (materials, dimensionless numbers), geometry (nozzle arrays,
 normalization), correlations (predictive Nu/f models and literature catalog),
 performance (design-point evaluation), explorer (sweeps, Pareto, hotspot
 synthesis), topo (manifold topology optimization), metrology (data reduction,
-uncertainty, grid convergence), cli (command-line surface).
+uncertainty, grid convergence), tables (CSV and JSON reading and writing),
+cli (command-line surface).
 """
 
 __version__ = "0.1.0"

@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import config, explorer, metrology, performance, topo
-from . import props as pr
+from . import config, explorer, metrology, performance, tables, topo
 from .errors import (ConfigError, InfeasibleError, InvalidInputError,
                      NoFlowError, NonMeaningfulResistanceError,
                      NonMonotoneConvergenceError, NonPhysicalReductionError,
@@ -33,27 +30,6 @@ EXIT_SOLVER = 4
 MLPM = 1e-6 / 60.0   # m3/s per mL/min
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.10g}"
-    return str(x)
-
-
-def _load_solid(cp) -> pr.SolidProps:
-    if not cp.has_section("solid"):
-        return pr.silicon()
-    sec = cp["solid"]
-    if "name" in sec:
-        catalog = pr.builtin_solids()
-        if "catalog" in sec:
-            catalog.update(pr.load_solids(sec["catalog"]))
-        name = sec["name"]
-        if name not in catalog:
-            raise ConfigError(f"[solid] unknown solid {name!r}")
-        return catalog[name]
-    return pr.SolidProps("custom", config.value(sec, "k_W_mK"))
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -64,22 +40,15 @@ def _write_payload(args, payload: dict, stem: str) -> None:
     """Emit a report as JSON (default) or a flat key,value CSV."""
     out = _out_dir(args)
     if getattr(args, "format", "json") == "csv":
-        lines = ["key,value"]
+        rows = []
         for key, val in payload.items():
             if isinstance(val, dict):
-                for sub, sval in val.items():
-                    lines.append(f"{key}.{sub},{_csv_cell(sval)}")
+                rows += [(f"{key}.{sub}", sval) for sub, sval in val.items()]
             else:
-                lines.append(f"{key},{_csv_cell(val)}")
-        (out / f"{stem}.csv").write_text("\n".join(lines) + "\n")
+                rows.append((key, val))
+        tables.write_csv(out / f"{stem}.csv", ("key", "value"), rows)
     else:
-        (out / f"{stem}.json").write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def _csv_cell(val) -> str:
-    if isinstance(val, list):
-        return ";".join(str(v) for v in val)
-    return _fmt(val)
+        tables.write_json(out / f"{stem}.json", payload)
 
 
 def _report_dict(report: performance.PerformanceReport) -> dict:
@@ -111,7 +80,7 @@ def cmd_predict(args) -> int:
         tc=config.value(sec, "tc_mm", scale=1e-3),
         heated_fraction=config.value(sec, "heated_fraction", 0.75))
     fluid = config.fluid(cp)
-    solid = _load_solid(cp)
+    solid = config.solid(cp)
     sec = config.section(cp, "operating")
     op = performance.OperatingPoint(
         flow_total=config.value(sec, "flow_mlpm", scale=MLPM),
@@ -141,15 +110,15 @@ def cmd_predict(args) -> int:
     _write_payload(args, payload, "report")
     for key in ("re", "nu_f", "nu_j", "htc_W_m2K", "r_th_K_W",
                 "r_star_Kcm2_W", "dp_Pa", "wp_W", "cop"):
-        print(f"{key:>14}  {_fmt(payload[key])}")
+        print(f"{key:>14}  {tables.fmt(payload[key])}")
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return EXIT_OK
 
 
-SWEEP_HEADER = ("n,di_over_L,do_over_L,H_over_L,t_over_L,flow_mlpm,re,nu_f,"
-                "nu_j,htc_W_m2K,r_th_K_W,r_star_Kcm2_W,dp_Pa,wp_W,cop,status,"
-                "warnings")
+SWEEP_HEADER = ("n", "di_over_L", "do_over_L", "H_over_L", "t_over_L",
+                "flow_mlpm", "re", "nu_f", "nu_j", "htc_W_m2K", "r_th_K_W",
+                "r_star_Kcm2_W", "dp_Pa", "wp_W", "cop", "status", "warnings")
 
 
 def _build_space(cp, name: str) -> explorer.DesignSpace:
@@ -164,7 +133,7 @@ def _build_space(cp, name: str) -> explorer.DesignSpace:
         chip_side=config.value(geo, "chip_side_mm", scale=1e-3),
         t_c=config.value(geo, "tc_mm", scale=1e-3),
         heated_fraction=config.value(geo, "heated_fraction", 0.75),
-        fluid=config.fluid(cp), solid=_load_solid(cp))
+        fluid=config.fluid(cp), solid=config.solid(cp))
 
 
 def _build_mode(cp) -> explorer.ConstraintMode:
@@ -183,17 +152,15 @@ def _build_mode(cp) -> explorer.ConstraintMode:
 
 def _write_sweep_csv(rows, path: Path) -> None:
     """One line per row; infeasible rows (flow 0) leave the metrics empty."""
-    lines = [SWEEP_HEADER]
+    table = []
     for row in rows:
         r = row.report
-        cells = [_fmt(v) for v in (row.n, row.di_over_L, row.do_over_L,
-                                   row.H_over_L, row.t_over_L, row.flow / MLPM)]
-        cells += ([_fmt(v) for v in (r.re, r.nu_f, r.nu_j, r.htc, r.r_th,
-                                     r.r_star, r.dp, r.w_p, r.cop)]
-                  if r else [""] * 9)
-        cells += [row.status, ";".join(r.warnings) if r else ""]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+        results = ((r.re, r.nu_f, r.nu_j, r.htc, r.r_th, r.r_star, r.dp,
+                    r.w_p, r.cop, row.status, r.warnings) if r
+                   else ("",) * 9 + (row.status, ""))
+        table.append((row.n, row.di_over_L, row.do_over_L, row.H_over_L,
+                      row.t_over_L, row.flow / MLPM) + results)
+    tables.write_csv(path, SWEEP_HEADER, table)
 
 
 def cmd_explore(args) -> int:
@@ -212,29 +179,21 @@ def cmd_pareto(args) -> int:
         src = config.section(cp, "pareto").get("input")
     if src is None:
         raise ConfigError("pareto needs --input CSV (or [pareto] input=...)")
-    points = []
-    with open(src, newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        if "r_th_K_W" in fields and "wp_W" in fields:
-            rk, wk = "r_th_K_W", "wp_W"
-        elif "r_th" in fields and "w_p" in fields:
-            rk, wk = "r_th", "w_p"
-        else:
-            raise ConfigError(
-                f"{src}: need columns r_th_K_W/wp_W or r_th/w_p")
-        for row in reader:
-            if not row[rk]:
-                continue   # infeasible sweep rows carry empty metrics
-            points.append((float(row[rk]), float(row[wk])))
+    for rk, wk in (("r_th_K_W", "wp_W"), ("r_th", "w_p")):
+        try:
+            rows = tables.read_csv(src, (rk, wk))
+            break
+        except ConfigError:
+            continue
+    else:
+        raise ConfigError(f"{src}: need columns r_th_K_W/wp_W or r_th/w_p")
+    # infeasible sweep rows carry empty metrics
+    points = [(float(row[rk]), float(row[wk])) for row in rows if row[rk]]
     if not points:
         raise ConfigError(f"{src}: no usable points")
     front = explorer.pareto_front(points)
     out = _out_dir(args)
-    with open(out / "pareto.csv", "w") as fh:
-        fh.write("r_th_K_W,wp_W\n")
-        for r, w in front:
-            fh.write(f"{_fmt(r)},{_fmt(w)}\n")
+    tables.write_csv(out / "pareto.csv", ("r_th_K_W", "wp_W"), front)
     print(f"{len(front)} non-dominated of {len(points)} points "
           f"-> {out / 'pareto.csv'}")
     return EXIT_OK
@@ -249,13 +208,12 @@ def cmd_cop(args) -> int:
     flow = config.value(cp["cop"], "flow_mlpm", scale=MLPM)
     grid = explorer.cop_surface(space, flow)
     out = _out_dir(args)
-    with open(out / "cop.csv", "w") as fh:
-        fh.write("n,density_cm2," + ",".join(
-            f"H_over_L={_fmt(h)}" for h in grid.H_over_L) + "\n")
-        for i, n in enumerate(grid.n_values):
-            cells = ",".join(_fmt(grid.cop[i, j])
-                             for j in range(len(grid.H_over_L)))
-            fh.write(f"{n},{_fmt(grid.density_cm2[i])},{cells}\n")
+    tables.write_csv(
+        out / "cop.csv",
+        ["n", "density_cm2"] + [f"H_over_L={tables.fmt(h)}"
+                                for h in grid.H_over_L],
+        ((n, grid.density_cm2[i], *grid.cop[i])
+         for i, n in enumerate(grid.n_values)))
     print(f"wrote {len(grid.n_values)}x{len(grid.H_over_L)} COP grid "
           f"-> {out / 'cop.csv'}")
     return EXIT_OK
@@ -275,10 +233,9 @@ def cmd_hotspot(args) -> int:
         payload = {"m": result.m, "htc_star_W_m2K": result.htc_star,
                    "flow_star_mlpm": result.flow_star / MLPM,
                    "dp_ratio": result.dp_ratio}
-        (out / "hotspot_scale.json").write_text(
-            json.dumps(payload, indent=2) + "\n")
+        _write_payload(args, payload, "hotspot_scale")
         for key, val in payload.items():
-            print(f"{key:>16}  {_fmt(val)}")
+            print(f"{key:>16}  {tables.fmt(val)}")
         return EXIT_OK
 
     sec = config.section(cp, "map")
@@ -292,18 +249,15 @@ def cmd_hotspot(args) -> int:
         dT_target=config.value(sec, "dt_target_k"), fluid=config.fluid(cp),
         bounds=(config.value(sec, "d_min_mm", 0.1),
                 config.value(sec, "d_max_mm", 0.9)))
-    with open(out / "nozzle_plan.csv", "w") as fh:
-        fh.write("row,col,power_W_cm2,d_mm,m_nz_mlpm,htc_W_m2K\n")
-        nrow, ncol = plan.d_mm.shape
-        for i in range(nrow):
-            for j in range(ncol):
-                fh.write(f"{i},{j},{_fmt(density[i, j])},{_fmt(plan.d_mm[i, j])},"
-                         f"{_fmt(plan.m_nz_mlpm[i, j])},{_fmt(plan.htc[i, j])}\n")
-    summary = {"dp": plan.dp, "flow_total_mlpm": plan.flow_total_mlpm,
-               "infeasible_cells": [list(c) for c in plan.infeasible_cells],
-               "warnings": list(plan.warnings)}
-    (out / "hotspot_summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n")
+    tables.write_csv(
+        out / "nozzle_plan.csv",
+        ("row", "col", "power_W_cm2", "d_mm", "m_nz_mlpm", "htc_W_m2K"),
+        ((i, j, density[i, j], plan.d_mm[i, j], plan.m_nz_mlpm[i, j],
+          plan.htc[i, j]) for i, j in np.ndindex(density.shape)))
+    tables.write_json(out / "hotspot_summary.json", {
+        "dp": plan.dp, "flow_total_mlpm": plan.flow_total_mlpm,
+        "infeasible_cells": [list(c) for c in plan.infeasible_cells],
+        "warnings": list(plan.warnings)})
     if plan.infeasible_cells:
         unreachable = sum(w.startswith("htc_unreachable")
                           for w in plan.warnings)
@@ -361,9 +315,9 @@ def cmd_topo(args) -> int:
     topo.write_fields(result.solution, out / "fields.csv")
     flows = result.solution.outlet_flows()
     print(f"status={result.status} iterations={len(result.history) - 1} "
-          f"J={_fmt(result.history[-1].J)}")
+          f"J={tables.fmt(result.history[-1].J)}")
     print("outlet flow shares:", " ".join(
-        _fmt(f / flows.sum()) for f in flows))
+        tables.fmt(f / flows.sum()) for f in flows))
     return EXIT_OK
 
 
@@ -384,18 +338,10 @@ def cmd_reduce(args) -> int:
     if not args.config:
         raise ConfigError("reduce needs --config DATASET_CSV")
     params = _parse_dataset_header(args.config)
-    rows = []
-    with open(args.config, newline="") as fh:
-        # a short row reads as empty cells, which fail as malformed numbers
-        reader = csv.DictReader((r for r in fh if not r.startswith("#")),
-                                restval="")
-        for row in reader:
-            rows.append(row)
+    rows = tables.read_csv(args.config,
+                           ("row", "col", "reading_on", "reading_off"))
     if not rows:
         raise ConfigError(f"{args.config}: empty dataset")
-    required = {"row", "col", "reading_on", "reading_off"}
-    if not required <= set(rows[0]):
-        raise ConfigError(f"{args.config}: need columns {sorted(required)}")
     nrow = max(int(r["row"]) for r in rows) + 1
     ncol = max(int(r["col"]) for r in rows) + 1
     on = np.zeros((nrow, ncol))
@@ -434,7 +380,7 @@ def cmd_reduce(args) -> int:
                "dT_avg_K": red.dT_avg}
     _write_payload(args, payload, "reduction")
     for key, val in payload.items():
-        print(f"{key:>12}  {_fmt(val)}")
+        print(f"{key:>12}  {tables.fmt(val)}")
     return EXIT_OK
 
 
@@ -450,7 +396,7 @@ def cmd_gci(args) -> int:
                "in_asymptotic_range": result.in_asymptotic_range}
     _write_payload(args, payload, "gci")
     for key, val in payload.items():
-        print(f"{key:>20}  {_fmt(val)}")
+        print(f"{key:>20}  {tables.fmt(val)}")
     return EXIT_OK
 
 
@@ -479,26 +425,13 @@ _FIXTURE_COLUMNS = {"authors", "year", "material", "chip_area_cm2",
                     "dp"}
 
 
-def _benchmark_rows(fixture_path: str | None):
-    if fixture_path is None:
-        from importlib import resources
-        src = resources.files("jetcool").joinpath("data", "benchmark_fixture.csv")
-        fh = src.open(newline="")
-    else:
-        fh = open(fixture_path, newline="")
-    with fh:
-        # a short row reads as empty cells, reported like missing values
-        reader = csv.DictReader(fh, restval="")
-        missing = sorted(_FIXTURE_COLUMNS - set(reader.fieldnames or ()))
-        if missing:
-            raise ConfigError(f"{fixture_path}: missing columns {missing}")
-        return list(reader)
-
-
 def cmd_benchmark(args) -> int:
-    rows = _benchmark_rows(args.fixture)
+    # a short fixture row reads as empty cells, reported like missing values
+    rows = tables.read_csv(
+        tables.DATA_DIR / "benchmark_fixture.csv" if args.fixture is None
+        else args.fixture, _FIXTURE_COLUMNS)
     out = _out_dir(args)
-    lines = ["label,material,r_star_Kcm2_W,w_star_W_cm2,warnings"]
+    points = []
     for row in rows:
         warnings = []
         label = f"{row['authors']} {row['year']}"
@@ -526,20 +459,17 @@ def cmd_benchmark(args) -> int:
             w_star = pump / area
         else:
             warnings.append("no_pump_power")
-        lines.append(f"{label},{row['material']},"
-                     f"{_fmt(r_star) if r_star != '' else ''},"
-                     f"{_fmt(w_star) if w_star != '' else ''},"
-                     + ";".join(warnings))
+        points.append((label, row["material"], r_star, w_star, warnings))
     if args.user_r_star is not None:
         if args.user_pump_w is None or args.user_area_cm2 is None:
             raise ConfigError("user point needs --user-r-star, --user-pump-w "
                               "and --user-area-cm2")
         w_star = args.user_pump_w / args.user_area_cm2
-        lines.append(f"{args.user_label},user,{_fmt(args.user_r_star)},"
-                     f"{_fmt(w_star)},")
-    text = "\n".join(lines) + "\n"
-    (out / "benchmark.csv").write_text(text)
-    print(f"wrote {len(lines) - 1} benchmark points -> {out / 'benchmark.csv'}")
+        points.append((args.user_label, "user", args.user_r_star, w_star, ""))
+    tables.write_csv(out / "benchmark.csv", ("label", "material",
+                                             "r_star_Kcm2_W", "w_star_W_cm2",
+                                             "warnings"), points)
+    print(f"wrote {len(points)} benchmark points -> {out / 'benchmark.csv'}")
     return EXIT_OK
 
 

@@ -68,17 +68,26 @@ def values(sec, key: str, cast=float, default=REQUIRED) -> tuple:
     return tuple(_convert(sec, key, tok, cast) for tok in tokens)
 
 
+def _named(sec, builtin, load):
+    """The ``name`` entry of ``sec`` from the ``builtin()`` catalog plus the
+    optional ``catalog`` file (read with ``load``), or None without one."""
+    catalog = builtin()
+    if "catalog" in sec:
+        catalog.update(load(sec["catalog"]))
+    if "name" not in sec:
+        return None
+    name = sec["name"]
+    if name not in catalog:
+        raise ConfigError(f"[{sec.name}] unknown {sec.name} {name!r}")
+    return catalog[name]
+
+
 def fluid(cp: configparser.ConfigParser) -> pr.FluidProps:
     """[fluid]: a ``name`` from the built-in or ``catalog`` CSV, or inline."""
     sec = section(cp, "fluid")
-    catalog = pr.builtin_fluids()
-    if "catalog" in sec:
-        catalog.update(pr.load_fluids(sec["catalog"]))
-    if "name" in sec:
-        name = sec["name"]
-        if name not in catalog:
-            raise ConfigError(f"[fluid] unknown fluid {name!r}")
-        return catalog[name]
+    named = _named(sec, pr.builtin_fluids, pr.load_fluids)
+    if named is not None:
+        return named
     return pr.FluidProps(
         name=sec.get("label", "custom"),
         density=value(sec, "density_kg_m3"),
@@ -86,3 +95,13 @@ def fluid(cp: configparser.ConfigParser) -> pr.FluidProps:
         specific_heat=value(sec, "cp_J_kgK"),
         conductivity=value(sec, "k_W_mK"),
         reference_temp=value(sec, "ref_temp_C", 20.0))
+
+
+def solid(cp: configparser.ConfigParser) -> pr.SolidProps:
+    """[solid]: as [fluid], with an inline ``k_W_mK``; silicon without it."""
+    if not cp.has_section("solid"):
+        return pr.silicon()
+    sec = cp["solid"]
+    named = _named(sec, pr.builtin_solids, pr.load_solids)
+    return named if named is not None else pr.SolidProps(
+        "custom", value(sec, "k_W_mK"))

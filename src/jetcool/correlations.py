@@ -9,17 +9,16 @@ of designs alike; for arrays the warnings are one tuple per design.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings as _warnings
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import tables
 from .errors import InvalidInputError, UnderdeterminedFitError, check
 
 
@@ -225,22 +224,12 @@ def load_catalog(path: str | Path) -> dict[str, PowerLawCorrelation]:
     carry a ``form`` column naming the template (``power_law`` or
     ``power_law_hd_xn``) plus ``h_over_d_exponent``/``xn_over_d_exponent``.
     """
-    with open(path, newline="") as fh:
-        return _parse_catalog(fh)
-
-
-def _parse_catalog(fh) -> dict[str, PowerLawCorrelation]:
-    reader = csv.DictReader(fh)
-    missing = set(_CATALOG_HEADER) - set(reader.fieldnames or [])
-    if missing:
-        raise InvalidInputError(f"catalog missing columns: {sorted(missing)}")
-
     def opt(row, key):
         raw = (row.get(key) or "").strip()
         return float(raw) if raw else None
 
     out: dict[str, PowerLawCorrelation] = {}
-    for row in reader:
+    for row in tables.read_csv(path, _CATALOG_HEADER):
         out[row["label"]] = PowerLawCorrelation(
             label=row["label"],
             c=float(row["c"]),
@@ -257,9 +246,7 @@ def _parse_catalog(fh) -> dict[str, PowerLawCorrelation]:
 
 def builtin_catalog() -> dict[str, PowerLawCorrelation]:
     """Correlations measured in this project plus the literature survey."""
-    path = resources.files("jetcool").joinpath("data", "nu_catalog.csv")
-    with path.open(newline="") as fh:
-        return _parse_catalog(fh)
+    return load_catalog(tables.DATA_DIR / "nu_catalog.csv")
 
 
 # ---------------------------------------------------------------------------

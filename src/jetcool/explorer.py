@@ -257,11 +257,13 @@ def hotspot_synthesize(power_map: PowerMap, flow_total: float,
     check((0 < d_min) & (d_min < d_max), "bad diameter bounds {}", bounds)
     check(power_map.total_power > 0, "total map power must be > 0")
     check(dT_target > 0, "dT_target must be > 0")
+    check(flow_total > 0, "flow_total must be > 0")
     flow_total_mlpm = flow_total / M3S_PER_MLPM
 
     density = power_map.density_w_cm2
     active = density > 0
-    reqs = density[active] * 1e4 / dT_target  # W/cm2 -> W/m2, argwhere order
+    # W/cm2 -> W/m2 in argwhere order, as Python floats (faster than numpy's)
+    reqs = (density[active] * 1e4 / dT_target).tolist()
 
     def dp_needed(d: float, req: float) -> float:
         """Plenum pressure at which diameter d exactly meets req."""
@@ -274,14 +276,14 @@ def hotspot_synthesize(power_map: PowerMap, flow_total: float,
     # exponent is large, peaks, then falls as the exponent collapses; only
     # the rising branch is physically sensible (less flow, smaller nozzle
     # for the same cooling), so each cell solve is restricted to it.
-    d_samples = np.geomspace(d_min, d_max, 160)
+    d_samples = np.geomspace(d_min, d_max, 160).tolist()
 
     def cell_states(dp: float) -> list[tuple[float, float, str]]:
         """(diameter, flow, status) of every active cell at plenum pressure
         dp, in np.argwhere(active) order. The htc curve is built once."""
-        achieved = np.array([htc_at(d, dp) for d in d_samples])
-        k_peak = int(achieved.argmax())
-        d_peak = float(d_samples[k_peak])
+        achieved = [htc_at(d, dp) for d in d_samples]
+        k_peak = achieved.index(max(achieved))
+        d_peak = d_samples[k_peak]
         states = []
         for req in reqs:
             if req > achieved[k_peak]:
@@ -316,12 +318,20 @@ def hotspot_synthesize(power_map: PowerMap, flow_total: float,
         # target outside the fully-feasible range: with cells clamped at
         # their bounds the total is only piecewise monotone, so scan a wide
         # pressure range and prefer the bracket with the fewest flagged
-        # cells (over-cooled plans beat under-cooled ones on a tie)
-        dp_grid = np.geomspace(max(band_lo * 1e-6, 1e-9),
-                               max(band_hi, band_lo, 1.0) * 1e6, 240)
-        resid = np.array([flow_error(dp) for dp in dp_grid])
-        brackets = [k for k in range(len(dp_grid) - 1)
-                    if resid[k] == 0.0 or resid[k] * resid[k + 1] <= 0.0]
+        # cells (over-cooled plans beat under-cooled ones on a tie). A hot
+        # cell can lift the window above the pressure that delivers a small
+        # flow, so a window that brackets nothing is extended down to dp_lo,
+        # below which even all-d_max nozzles carry too little.
+        window_lo = max(band_lo * 1e-6, 1e-9)
+        dp_lo = dp_model.evaluate(d_max, flow_total_mlpm / len(reqs))
+        for lo in (window_lo, dp_lo):
+            dp_grid = np.geomspace(lo, max(band_hi, band_lo, 1.0) * 1e6,
+                                   240).tolist()
+            resid = [flow_error(dp) for dp in dp_grid]
+            brackets = [k for k in range(len(dp_grid) - 1)
+                        if resid[k] == 0.0 or resid[k] * resid[k + 1] <= 0.0]
+            if brackets or dp_lo >= window_lo:
+                break
         if not brackets:
             raise InfeasibleError(
                 f"no plenum pressure delivers {flow_total_mlpm:g} mL/min "

@@ -55,10 +55,6 @@ class UnitCell:
         return self.t / self.L
 
     @property
-    def tc_over_L(self) -> float:
-        return self.t_c / self.L
-
-    @property
     def nozzle_area(self) -> float:
         """Inlet nozzle cross-section pi*d_i^2/4 [m2]."""
         return math.pi * self.d_i ** 2 / 4.0

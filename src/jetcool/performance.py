@@ -152,11 +152,6 @@ class PressureBreakdown:
     dp_jet_residual: float
     warnings: tuple[str, ...] = ("jet_residual_unmodeled",)
 
-    @property
-    def total_modeled(self) -> float:
-        return (self.dp_in_nozzle + self.dp_out_nozzle + self.dp_channel
-                + self.dp_jet_residual)
-
 
 def pressure_decomposition(cell: UnitCell, fluid: pr.FluidProps,
                            v_nozzle: float) -> PressureBreakdown:

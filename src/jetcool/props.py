@@ -10,13 +10,12 @@ schema accepted for user catalogs:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
-from .errors import InvalidInputError, check
+from . import tables
+from .errors import check
 
 #: Prandtl number used when the predictive correlations were fitted
 #: (representative DI-water value). The catalog water entry evaluates to
@@ -106,56 +105,29 @@ _SOLID_HEADER = ["name", "k_W_mK"]
 
 def load_fluids(path: str | Path) -> dict[str, FluidProps]:
     """Load a fluid catalog CSV (schema in the module docstring)."""
-    with open(path, newline="") as fh:
-        return _parse_fluids(fh)
-
-
-def _parse_fluids(fh) -> dict[str, FluidProps]:
-    reader = csv.DictReader(fh)
-    missing = set(_FLUID_HEADER) - set(reader.fieldnames or [])
-    if missing:
-        raise InvalidInputError(f"fluid catalog missing columns: {sorted(missing)}")
-    out: dict[str, FluidProps] = {}
-    for row in reader:
-        out[row["name"]] = FluidProps(
-            name=row["name"],
-            density=float(row["density_kg_m3"]),
-            viscosity=float(row["viscosity_kg_ms"]),
-            specific_heat=float(row["cp_J_kgK"]),
-            conductivity=float(row["k_W_mK"]),
-            reference_temp=float(row["ref_temp_C"]),
-        )
-    return out
+    return {row["name"]: FluidProps(
+                name=row["name"],
+                density=float(row["density_kg_m3"]),
+                viscosity=float(row["viscosity_kg_ms"]),
+                specific_heat=float(row["cp_J_kgK"]),
+                conductivity=float(row["k_W_mK"]),
+                reference_temp=float(row["ref_temp_C"]))
+            for row in tables.read_csv(path, _FLUID_HEADER)}
 
 
 def load_solids(path: str | Path) -> dict[str, SolidProps]:
     """Load a solid catalog CSV with header ``name,k_W_mK``."""
-    with open(path, newline="") as fh:
-        return _parse_solids(fh)
-
-
-def _parse_solids(fh) -> dict[str, SolidProps]:
-    reader = csv.DictReader(fh)
-    missing = set(_SOLID_HEADER) - set(reader.fieldnames or [])
-    if missing:
-        raise InvalidInputError(f"solid catalog missing columns: {sorted(missing)}")
     return {row["name"]: SolidProps(row["name"], float(row["k_W_mK"]))
-            for row in reader}
-
-
-def _builtin(name: str):
-    return resources.files("jetcool").joinpath("data", name)
+            for row in tables.read_csv(path, _SOLID_HEADER)}
 
 
 def builtin_fluids() -> dict[str, FluidProps]:
     """Built-in coolant catalog (CFD water plus the literature coolant survey)."""
-    with _builtin("fluids.csv").open(newline="") as fh:
-        return _parse_fluids(fh)
+    return load_fluids(tables.DATA_DIR / "fluids.csv")
 
 
 def builtin_solids() -> dict[str, SolidProps]:
-    with _builtin("solids.csv").open(newline="") as fh:
-        return _parse_solids(fh)
+    return load_solids(tables.DATA_DIR / "solids.csv")
 
 
 #: Default coolant: DI water at 10 degC as used for every thermal test.

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import config
+from .. import config, tables
 from ..errors import ConfigError, InvalidInputError
 # Unused here: perfbench/spans.py patches jetcool.topo.io.builtin_fluids and
 # fails without it. Drop it with the next change to that target list.
@@ -88,10 +88,6 @@ def parse_problem_file(path: str | Path) -> tuple[TopoProblem, int, tuple]:
     return problem, config.value(psec, "max_iters", 100, cast=int), schedule
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
-
-
 def export_density(eps: DensityField, csv_path: str | Path,
                    pgm_path: str | Path | None = None) -> None:
     """Write the density field as CSV (and optionally an 8-bit PGM image).
@@ -101,9 +97,7 @@ def export_density(eps: DensityField, csv_path: str | Path,
     """
     arr = eps.eps
     nx, ny = arr.shape
-    with open(csv_path, "w") as fh:
-        for j in range(ny - 1, -1, -1):
-            fh.write(",".join(_fmt(arr[i, j]) for i in range(nx)) + "\n")
+    tables.write_csv(csv_path, None, arr[:, ::-1].T)
     if pgm_path is None:
         return
     gray = np.clip(np.rint(arr * 255.0), 0, 255).astype(int)
@@ -114,11 +108,7 @@ def export_density(eps: DensityField, csv_path: str | Path,
 
 
 def write_history(history, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        fh.write("iter,J,J1,J2,volume\n")
-        for row in history:
-            fh.write(f"{row.iteration},{_fmt(row.J)},{_fmt(row.J1)},"
-                     f"{_fmt(row.J2)},{_fmt(row.volume)}\n")
+    tables.write_csv(path, ("iter", "J", "J1", "J2", "volume"), history)
 
 
 def write_fields(solution: FlowSolution, path: str | Path) -> None:
@@ -126,10 +116,7 @@ def write_fields(solution: FlowSolution, path: str | Path) -> None:
     g = solution.op.grid
     u_c = 0.5 * (solution.u[1:, :] + solution.u[:-1, :])
     v_c = 0.5 * (solution.v[:, 1:] + solution.v[:, :-1])
-    with open(path, "w") as fh:
-        fh.write("x,y,u,v,p\n")
-        for i in range(g.nx):
-            for j in range(g.ny):
-                fh.write(f"{_fmt((i + 0.5) * g.dx)},{_fmt((j + 0.5) * g.dy)},"
-                         f"{_fmt(u_c[i, j])},{_fmt(v_c[i, j])},"
-                         f"{_fmt(solution.p[i, j])}\n")
+    tables.write_csv(path, ("x", "y", "u", "v", "p"),
+                     (((i + 0.5) * g.dx, (j + 0.5) * g.dy, u_c[i, j],
+                       v_c[i, j], solution.p[i, j])
+                      for i, j in np.ndindex(g.nx, g.ny)))

@@ -35,10 +35,6 @@ class OptimizeResult:
     solution: FlowSolution           # flow of the last accepted iterate
     warnings: tuple[str, ...] = ()
 
-    @property
-    def objective_values(self) -> list[float]:
-        return [row.J for row in self.history]
-
 
 def _project(candidate: np.ndarray, previous: np.ndarray,
              volume_fraction: float, move_limit: float) -> np.ndarray:

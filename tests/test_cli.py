@@ -1,11 +1,14 @@
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from jetcool import topo
 from jetcool.cli import run
+from jetcool.correlations import load_catalog
+from jetcool.errors import ConfigError
 
 PREDICT_INI = """
 [geometry]
@@ -193,6 +196,23 @@ m_nozzles = 24
         assert payload["htc_star_W_m2K"] == pytest.approx(109969.919, rel=1e-6)
         assert payload["flow_star_mlpm"] == pytest.approx(25.0667, rel=1e-4)
 
+    def test_scale_path_honours_format(self, tmp_path):
+        cfg = write(tmp_path, "h.ini", """
+[scale]
+base_htc_w_m2k = 57000
+base_flow_mlpm = 9.4
+n_total = 64
+m_nozzles = 24
+""")
+        out = tmp_path / "out"
+        assert run(["hotspot", "--config", cfg, "--out", str(out),
+                    "--format", "csv"]) == 0
+        assert not (out / "hotspot_scale.json").exists()
+        rows = dict(csv.reader((out / "hotspot_scale.csv").open()))
+        assert rows["key"] == "value" and rows["m"] == "2.666666667"
+        assert float(rows["htc_star_W_m2K"]) == pytest.approx(109969.919,
+                                                             rel=1e-6)
+
     def test_map_path(self, tmp_path):
         pmap = tmp_path / "map.csv"
         np.savetxt(pmap, np.array([[100.0, 0.0], [200.0, 150.0]]),
@@ -253,7 +273,7 @@ dt_target_k = 25
                     "--out", str(tmp_path / "o")]) == 2
         assert "finite" in capsys.readouterr().err
 
-    def test_unreachable_cells_exit_3(self, tmp_path):
+    def test_unreachable_cells_exit_3(self, tmp_path, capsys):
         pmap = tmp_path / "map.csv"
         np.savetxt(pmap, np.array([[3000.0]]), delimiter=",")
         cfg = write(tmp_path, "h.ini", f"""
@@ -267,6 +287,44 @@ dt_target_k = 5
 """)
         code = run(["hotspot", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 3
+        assert "1 cell(s) cannot reach the required htc" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("flow", [0, -2])
+    def test_non_positive_flow_exit_2(self, tmp_path, capsys, flow):
+        pmap = write(tmp_path, "map.csv", "3000\n")
+        cfg = write(tmp_path, "h.ini", f"""
+[fluid]
+name = water
+
+[map]
+file = {pmap}
+flow_mlpm = {flow}
+dt_target_k = 25
+""")
+        assert run(["hotspot", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert "flow_total must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flow", [0.5, 1, 2])
+    def test_hot_cell_at_small_flow_gets_flagged_plan(self, tmp_path, flow):
+        # the delivering pressure lies below the first scan window
+        pmap = tmp_path / "map.csv"
+        np.savetxt(pmap, np.array([[3000.0]]), delimiter=",")
+        cfg = write(tmp_path, "h.ini", f"""
+[fluid]
+name = water
+
+[map]
+file = {pmap}
+flow_mlpm = {flow}
+dt_target_k = 25
+""")
+        out = tmp_path / "o"
+        assert run(["hotspot", "--config", cfg, "--out", str(out)]) == 3
+        summary = json.loads((out / "hotspot_summary.json").read_text())
+        assert summary["warnings"] == ["htc_unreachable:0,0"]
+        assert summary["flow_total_mlpm"] == pytest.approx(flow, rel=1e-6)
 
     @pytest.mark.parametrize("density, flow, message, other", [
         ([[1.0, 1.0], [1.0, 1.0]], 30,
@@ -539,3 +597,80 @@ class TestBenchmark:
         run(["benchmark", "--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "benchmark.csv").read_bytes() == \
             (tmp_path / "b" / "benchmark.csv").read_bytes()
+
+
+def _read_nu_catalog(path, out):
+    """No command reads a correlation catalog: report it as the CLI would."""
+    try:
+        load_catalog(path)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+FIXTURE_HEADER = ("material,authors,year,application,coolant,n_jets,"
+                  "nozzle_diameter,chip_area_cm2,power_or_flux,flow,dp,pump_w,"
+                  "thermal_metric,thermal_metric_unit")
+
+
+def _predict_with(tmp_path, old, new):
+    def invoke(path, out):
+        cfg = write(tmp_path, "p.ini",
+                    PREDICT_INI.replace(old, new.format(path=path)))
+        return run(["predict", "--config", cfg, "--out", out])
+    return invoke
+
+
+MISSING_COLUMN_CASES = [
+    ("fluids", "name,density_kg_m3,viscosity_kg_ms,ref_temp_C\n",
+     "missing columns ['cp_J_kgK', 'k_W_mK']"),
+    ("solids", "name,k\ndiamond,2000\n", "missing columns ['k_W_mK']"),
+    ("nu_catalog", "label,c,m,basis\nx,1,0.5,junction\n",
+     "missing columns ['pr_exponent', 're_max', 're_min']"),
+    ("dataset", "# power_w = 50\nrow,col,reading_on\n0,0,0.5\n",
+     "missing columns ['reading_off']"),
+    ("fixture", FIXTURE_HEADER.replace("authors,year,", "") + "\n",
+     "missing columns ['authors', 'year']"),
+    ("points", "r_th_K_W,w_p\n0.1,0.2\n",
+     "need columns r_th_K_W/wp_W or r_th/w_p"),
+]
+
+
+class TestTableInputs:
+    """Every CSV input is read by one routine with one column check."""
+
+    @pytest.mark.parametrize("kind, text, message", MISSING_COLUMN_CASES,
+                             ids=[case[0] for case in MISSING_COLUMN_CASES])
+    def test_missing_columns_named_with_file(self, tmp_path, capsys, kind,
+                                             text, message):
+        invoke = {
+            "fluids": _predict_with(tmp_path, "[fluid]\nname = water",
+                                    "[fluid]\nname = brine\n"
+                                    "catalog = {path}"),
+            "solids": _predict_with(tmp_path, "[solid]\nname = silicon",
+                                    "[solid]\nname = diamond\n"
+                                    "catalog = {path}"),
+            "nu_catalog": _read_nu_catalog,
+            "dataset": lambda path, out: run(["reduce", "--config", path,
+                                              "--out", out]),
+            "fixture": lambda path, out: run(["benchmark", "--fixture", path,
+                                              "--out", out]),
+            "points": lambda path, out: run(["pareto", "--input", path,
+                                             "--out", out]),
+        }[kind]
+        path = write(tmp_path, f"{kind}.csv", text)
+        assert invoke(path, str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err and message in err
+
+    def test_short_catalog_row_exit_2(self, tmp_path, capsys):
+        catalog = write(tmp_path, "fluids.csv",
+                        "name,density_kg_m3,viscosity_kg_ms,cp_J_kgK,k_W_mK,"
+                        "ref_temp_C\nbrine,1100,0.002,3500\n")
+        cfg = write(tmp_path, "p.ini", PREDICT_INI.replace(
+            "[fluid]\nname = water",
+            f"[fluid]\nname = brine\ncatalog = {catalog}"))
+        assert run(["predict", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

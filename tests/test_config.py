@@ -213,6 +213,29 @@ class TestTopoFluid:
         assert not (tmp_path / "out" / "history.csv").exists()
 
 
+class TestSolid:
+    def solid(self, text):
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read_string(text)
+        return config.solid(cp)
+
+    def test_named_inline_and_default(self, tmp_path):
+        catalog = tmp_path / "solids.csv"
+        catalog.write_text("name,k_W_mK\ndiamond,2000\n")
+        named = self.solid(f"[solid]\nname = diamond\ncatalog = {catalog}\n")
+        assert (named.name, named.conductivity) == ("diamond", 2000.0)
+        assert self.solid("[solid]\nname = silicon\n").conductivity == 149.0
+        assert self.solid("[solid]\nk_W_mK = 400\n").conductivity == 400.0
+        assert self.solid("[fluid]\nname = water\n").name == "silicon"
+
+    def test_unknown_solid_and_missing_catalog(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"\[solid\] unknown solid 'x'"):
+            self.solid("[solid]\nname = x\n")
+        with pytest.raises(FileNotFoundError):
+            self.solid(f"[solid]\nk_W_mK = 400\n"
+                       f"catalog = {tmp_path / 'nosuch.csv'}\n")
+
+
 def test_unreadable_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("no section header\n")
