@@ -49,6 +49,10 @@ def _project(candidate: np.ndarray, previous: np.ndarray,
     lo, hi = -1.0, 0.0   # additive shift; -1 empties the field entirely
     for _ in range(100):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            # lo and hi are adjacent floats: mid rounds onto one of them,
+            # and no later step can move lo
+            break
         vol = np.clip(candidate + mid, lo_bound, hi_bound).mean()
         if vol > volume_fraction:
             hi = mid

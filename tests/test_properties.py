@@ -1,18 +1,27 @@
-"""Property-based checks of the array-valued design evaluation.
+"""Property-based checks of the array-valued design evaluation and of the
+Stokes-Brinkman solver.
 
 - ``evaluate_design`` on an array-valued ``CoolerArray`` equals the
   one-design call row by row, warnings included;
 - dp(V) and V*dp(V) of the correlation chain are strictly increasing;
 - every flow solved by ``sweep`` meets its pressure or pump-power target
-  to ``roots.REL_TOL``.
+  to ``roots.REL_TOL``;
+- on random densities, ``StokesOperator.solve`` and its transposed solve
+  equal a SuperLU solve of the same matrix on either factor path, every
+  cell conserves mass, and the adjoint gradient matches central finite
+  differences.
 
 Examples are few and derandomized so the suite stays fast and repeatable.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from jetcool.explorer import (ConstraintKind, ConstraintMode, DesignSpace,
                               sweep)
@@ -20,6 +29,8 @@ from jetcool.geometry import array_from_ratios
 from jetcool.performance import OperatingPoint, evaluate_design
 from jetcool.props import silicon, water
 from jetcool.roots import REL_TOL
+from jetcool.topo import (DensityField, Grid2D, Segment, TopoProblem,
+                          gradient, objective, solver)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 CHIP, TC = 8e-3, 0.2e-3
@@ -83,3 +94,88 @@ def test_solved_flows_meet_their_target(rows, kind, target):
         got = row.report.dp if kind is ConstraintKind.CONST_PRESSURE \
             else row.report.w_p
         assert abs(got - target) <= REL_TOL * target
+
+
+# -- Stokes-Brinkman solver ----------------------------------------------
+
+TOPO_SETTINGS = settings(max_examples=6, deadline=None, derandomize=True)
+# forcing one path: limits that every grid meets, or that none does
+PATH_LIMITS = {"band": (np.inf, np.inf), "splu": (0.0, 0.0)}
+FD_STEP = 1e-6
+
+
+def two_outlet_grid(shape):
+    nx, ny = shape
+    q = nx // 8
+    return Grid2D(nx, ny, 2e-3 / nx, 1e-3 / ny, [
+        Segment("left", 0, ny, "inlet", "parabolic", 0.01),
+        Segment("bottom", q, 3 * q, "outlet_pressure"),
+        Segment("bottom", 5 * q, 7 * q, "outlet_pressure")])
+
+
+def densities(shapes, lo=0.0, hi=1.0):
+    """(shape, density field) on one of the given grid shapes."""
+    return st.sampled_from(shapes).flatmap(lambda shape: st.tuples(
+        st.just(shape), arrays(np.float64, shape,
+                               elements=st.floats(lo, hi))))
+
+
+def operator(grid, mu, path):
+    score, fill = PATH_LIMITS[path]
+    with mock.patch.multiple(solver, BAND_SCORE_MAX=score,
+                             BAND_FILL_MAX=fill):
+        op = solver.StokesOperator(grid, mu)
+    assert (op.band is not None) == (path == "band")
+    return op
+
+
+def relative_error(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("path", sorted(PATH_LIMITS))
+@TOPO_SETTINGS
+@given(densities([(8, 4), (16, 8), (12, 12)]), st.integers(0, 2 ** 32 - 1))
+def test_solves_equal_a_superlu_solve(path, field, seed):
+    shape, eps = field
+    problem = TopoProblem(grid=two_outlet_grid(shape), fluid=water())
+    op = operator(problem.grid, problem.mu, path)
+    alpha = problem.alpha(eps)
+    sol = op.solve(alpha)
+    ref = spla.splu(op.matrix(alpha).tocsc())
+    assert relative_error(sol.x, ref.solve(op.rhs())) <= 1e-10
+    rhs = np.random.default_rng(seed).standard_normal(op.n_unknowns)
+    assert relative_error(sol.lu.solve(rhs, trans="T"),
+                          ref.solve(rhs, trans="T")) <= 1e-10
+
+
+@TOPO_SETTINGS
+@given(densities([(8, 4), (16, 8), (12, 12)]))
+def test_every_cell_conserves_mass(field):
+    shape, eps = field
+    problem = TopoProblem(grid=two_outlet_grid(shape), fluid=water())
+    sol = solver.StokesOperator(problem.grid, problem.mu).solve(
+        problem.alpha(eps))
+    assert sol.mass_imbalance() <= 1e-10
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(densities([(8, 4), (12, 12)], lo=0.1, hi=0.9), st.floats(0.0, 1.0))
+def test_adjoint_gradient_matches_finite_differences(field, beta):
+    shape, eps = field
+    problem = TopoProblem(grid=two_outlet_grid(shape), fluid=water(),
+                          beta=beta)
+    op = solver.StokesOperator(problem.grid, problem.mu)
+
+    def j_of(e):
+        return objective(problem, DensityField(e),
+                         op.solve(problem.alpha(e))).J
+
+    g = gradient(problem, DensityField(eps), op.solve(problem.alpha(eps)))
+    g_fd = np.zeros_like(eps)
+    for cell in np.ndindex(shape):
+        up, dn = eps.copy(), eps.copy()
+        up[cell] += FD_STEP
+        dn[cell] -= FD_STEP
+        g_fd[cell] = (j_of(up) - j_of(dn)) / (2 * FD_STEP)
+    assert np.abs(g - g_fd).max() <= 1e-5 * np.abs(g_fd).max()

@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from jetcool.errors import InvalidInputError
+from jetcool.errors import InvalidInputError, SolverError
 from jetcool.props import water
-from jetcool.topo import (DensityField, Grid2D, Segment, default_alpha_bounds,
-                          inverse_permeability, solve_flow)
+from jetcool.topo import (DensityField, Grid2D, Segment, StokesOperator,
+                          default_alpha_bounds, inverse_permeability, solver,
+                          solve_flow)
 
 
 def channel(ny, aspect=4, u_mean=0.01, ly=1e-3):
@@ -163,6 +166,40 @@ class TestBoundaryValidation:
             solve_flow(grid, DensityField(np.ones((3, 3))), water())
         with pytest.raises(InvalidInputError):
             DensityField(np.full((grid.nx, grid.ny), np.nan))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "finite"), (np.inf, "finite"), (-1.0, ">= 0")])
+def test_drag_values_validated(bad, message):
+    grid = channel(8)
+    op = StokesOperator(grid, water().viscosity)
+    alpha = np.ones(grid.n_cells)
+    alpha[5] = bad
+    with pytest.raises(InvalidInputError, match=message):
+        op.solve(alpha)
+
+
+def test_drag_length_validated():
+    grid = channel(8)
+    op = StokesOperator(grid, water().viscosity)
+    for size in (grid.n_cells - 1, grid.n_cells + grid.ny):
+        with pytest.raises(InvalidInputError, match="cells"):
+            op.solve(np.ones(size))
+
+
+@pytest.mark.parametrize("score_max, path", [(np.inf, "band"),
+                                             (0.0, "splu")])
+def test_singular_system_is_a_solver_error(score_max, path):
+    grid = channel(8)
+    with mock.patch.object(solver, "BAND_SCORE_MAX", score_max):
+        op = StokesOperator(grid, water().viscosity)
+    assert (op.band is not None) == (path == "band")
+    # without k_base only the drag diagonal is left: the pressure rows vanish
+    op.k_base = 0.0 * op.k_base
+    if op.band is not None:
+        op.band.values = np.zeros_like(op.band.values)
+    with pytest.raises(SolverError, match="singular Stokes-Brinkman system"):
+        op.solve(np.ones(grid.n_cells))
 
 
 def test_parabolic_profile_shape():
