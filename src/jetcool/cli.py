@@ -16,18 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from . import config, explorer, metrology, performance, tables, topo
-from .errors import (ConfigError, InfeasibleError, InvalidInputError,
-                     NoFlowError, NonMeaningfulResistanceError,
-                     NonMonotoneConvergenceError, NonPhysicalReductionError,
-                     SolverError)
-from .geometry import array_from_ratios
+from .errors import ConfigError, InfeasibleError, InvalidInputError, SolverError
+from .explorer import M3S_PER_MLPM
+from .geometry import HEATED_FRACTION_DEFAULT, array_from_ratios
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_SOLVER = 4
-
-MLPM = 1e-6 / 60.0   # m3/s per mL/min
 
 
 def _out_dir(args) -> Path:
@@ -58,7 +54,7 @@ def _report_dict(report: performance.PerformanceReport) -> dict:
         "r_th_K_W": report.r_th, "r_star_Kcm2_W": report.r_star,
         "dT_avg_K": report.dT_avg, "dp_Pa": report.dp, "wp_W": report.w_p,
         "cop": report.cop, "v_nozzle_m_s": report.v_nozzle,
-        "flow_per_nozzle_mlpm": report.flow_per_nozzle / MLPM,
+        "flow_per_nozzle_mlpm": report.flow_per_nozzle / M3S_PER_MLPM,
         "warnings": list(report.warnings),
     }
 
@@ -78,16 +74,18 @@ def cmd_predict(args) -> int:
         H_over_L=config.value(sec, "h_over_l"),
         t_over_L=config.value(sec, "t_over_l"),
         tc=config.value(sec, "tc_mm", scale=1e-3),
-        heated_fraction=config.value(sec, "heated_fraction", 0.75))
+        heated_fraction=config.value(sec, "heated_fraction",
+                                     HEATED_FRACTION_DEFAULT))
     fluid = config.fluid(cp)
     solid = config.solid(cp)
     sec = config.section(cp, "operating")
     op = performance.OperatingPoint(
-        flow_total=config.value(sec, "flow_mlpm", scale=MLPM),
+        flow_total=config.value(sec, "flow_mlpm", scale=M3S_PER_MLPM),
         inlet_temp=config.value(sec, "inlet_c", 10.0),
         chip_power=config.value(sec, "power_w", 0.0),
         ambient_temp=config.value(sec, "ambient_c", 25.0))
-    dt_max = config.value(sec, "dt_max_allow", 60.0)
+    dt_max = config.value(sec, "dt_max_allow",
+                          performance.DT_MAX_ALLOW_DEFAULT)
     report = performance.evaluate_design(array, fluid, solid, op, dt_max)
     breakdown = performance.pressure_decomposition(
         array.cell, fluid, report.flow_per_nozzle)
@@ -104,7 +102,7 @@ def cmd_predict(args) -> int:
         "di_over_l": array.cell.di_over_L, "do_over_l": array.cell.do_over_L,
         "h_over_l": array.cell.H_over_L, "t_over_l": array.cell.t_over_L,
         "tc_mm": array.cell.t_c * 1e3, "fluid": fluid.name,
-        "solid": solid.name, "flow_mlpm": op.flow_total / MLPM,
+        "solid": solid.name, "flow_mlpm": op.flow_total / M3S_PER_MLPM,
         "power_w": op.chip_power,
     }
     _write_payload(args, payload, "report")
@@ -132,7 +130,8 @@ def _build_space(cp, name: str) -> explorer.DesignSpace:
         t_over_L=config.values(sec, "t_over_l"),
         chip_side=config.value(geo, "chip_side_mm", scale=1e-3),
         t_c=config.value(geo, "tc_mm", scale=1e-3),
-        heated_fraction=config.value(geo, "heated_fraction", 0.75),
+        heated_fraction=config.value(geo, "heated_fraction",
+                                     HEATED_FRACTION_DEFAULT),
         fluid=config.fluid(cp), solid=config.solid(cp))
 
 
@@ -140,7 +139,8 @@ def _build_mode(cp) -> explorer.ConstraintMode:
     sec = config.section(cp, "constraint")
     mode = sec.get("mode", "const_flow")
     kinds = {
-        "const_flow": (explorer.ConstraintKind.CONST_FLOW, "value_mlpm", MLPM),
+        "const_flow": (explorer.ConstraintKind.CONST_FLOW, "value_mlpm",
+                       M3S_PER_MLPM),
         "const_pressure": (explorer.ConstraintKind.CONST_PRESSURE, "value_pa", 1.0),
         "const_pump": (explorer.ConstraintKind.CONST_PUMP, "value_w", 1.0),
     }
@@ -159,7 +159,7 @@ def _write_sweep_csv(rows, path: Path) -> None:
                     r.w_p, r.cop, row.status, r.warnings) if r
                    else ("",) * 9 + (row.status, ""))
         table.append((row.n, row.di_over_L, row.do_over_L, row.H_over_L,
-                      row.t_over_L, row.flow / MLPM) + results)
+                      row.t_over_L, row.flow / M3S_PER_MLPM) + results)
     tables.write_csv(path, SWEEP_HEADER, table)
 
 
@@ -205,7 +205,7 @@ def cmd_cop(args) -> int:
     # cop_surface evaluates one d_i/L and one t/L
     if len(space.di_over_L) != 1 or len(space.t_over_L) != 1:
         raise ConfigError("[cop] di_over_l and t_over_l take one value each")
-    flow = config.value(cp["cop"], "flow_mlpm", scale=MLPM)
+    flow = config.value(cp["cop"], "flow_mlpm", scale=M3S_PER_MLPM)
     grid = explorer.cop_surface(space, flow)
     out = _out_dir(args)
     tables.write_csv(
@@ -227,11 +227,11 @@ def cmd_hotspot(args) -> int:
         result = explorer.hotspot_scale(
             base_htc=config.value(sec, "base_htc_w_m2k"),
             base_flow_per_nozzle=config.value(sec, "base_flow_mlpm",
-                                              scale=MLPM),
+                                              scale=M3S_PER_MLPM),
             n_sq=config.value(sec, "n_total", cast=int),
             m_nozzles=config.value(sec, "m_nozzles", cast=int))
         payload = {"m": result.m, "htc_star_W_m2K": result.htc_star,
-                   "flow_star_mlpm": result.flow_star / MLPM,
+                   "flow_star_mlpm": result.flow_star / M3S_PER_MLPM,
                    "dp_ratio": result.dp_ratio}
         _write_payload(args, payload, "hotspot_scale")
         for key, val in payload.items():
@@ -245,7 +245,8 @@ def cmd_hotspot(args) -> int:
         density_w_cm2=density,
         cell_pitch=config.value(sec, "pitch_mm", 1.0, scale=1e-3))
     plan = explorer.hotspot_synthesize(
-        power_map, flow_total=config.value(sec, "flow_mlpm", scale=MLPM),
+        power_map,
+        flow_total=config.value(sec, "flow_mlpm", scale=M3S_PER_MLPM),
         dT_target=config.value(sec, "dt_target_k"), fluid=config.fluid(cp),
         bounds=(config.value(sec, "d_min_mm", 0.1),
                 config.value(sec, "d_max_mm", 0.9)))
@@ -321,23 +322,10 @@ def cmd_topo(args) -> int:
     return EXIT_OK
 
 
-def _parse_dataset_header(path: str) -> dict:
-    params = {}
-    with open(path) as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                break
-            text = line[1:].strip()
-            if "=" in text:
-                key, val = text.split("=", 1)
-                params[key.strip()] = val.strip()
-    return params
-
-
 def cmd_reduce(args) -> int:
     if not args.config:
         raise ConfigError("reduce needs --config DATASET_CSV")
-    params = _parse_dataset_header(args.config)
+    head = config.header(args.config)
     rows = tables.read_csv(args.config,
                            ("row", "col", "reading_on", "reading_off"))
     if not rows:
@@ -350,31 +338,27 @@ def cmd_reduce(args) -> int:
         on[int(r["row"]), int(r["col"])] = float(r["reading_on"])
         off[int(r["row"]), int(r["col"])] = float(r["reading_off"])
 
-    model = params.get("model", "diode")
+    model = config.value(head, "model", "diode", cast=str)
     if model == "diode":
-        sens = float(params.get("sensitivity_mv_per_c",
-                                metrology.DIODE_SENSITIVITY_MV_C)) * 1e-3
+        sens = config.value(head, "sensitivity_mv_per_c",
+                            metrology.DIODE_SENSITIVITY_MV_C, scale=1e-3)
         smap = metrology.SensorMap(on, metrology.SensorModel.DIODE,
                                    sensitivity=sens)
     elif model == "tcr":
-        tcr = float(params.get("tcr_ppm_per_c",
-                               metrology.TCR_PER_C * 1e6)) * 1e-6
+        tcr = config.value(head, "tcr_ppm_per_c", metrology.TCR_PER_C * 1e6,
+                           scale=1e-6)
         smap = metrology.SensorMap(on, metrology.SensorModel.TCR, tcr=tcr)
     else:
-        raise ConfigError(f"unknown sensor model {model!r}")
+        raise ConfigError(f"[header] unknown sensor model {model!r}")
     dT = metrology.sensor_to_dT(smap, off)
-
-    def need(key):
-        if key not in params:
-            raise ConfigError(f"dataset header missing '# {key} = ...'")
-        return float(params[key])
-
-    chip = metrology.ChipStack(t_c=need("tc_mm") * 1e-3,
-                               k_s=float(params.get("k_s_w_mk", 149.0)),
-                               a_heater=need("heater_area_cm2") * 1e-4)
-    red = metrology.reduce(dT, power=need("power_w"), t_amb=need("t_amb_c"),
-                           t_in=need("t_in_c"), r_loss=need("r_loss_k_w"),
-                           chip=chip)
+    chip = metrology.ChipStack(
+        t_c=config.value(head, "tc_mm", scale=1e-3),
+        k_s=config.value(head, "k_s_w_mk", 149.0),
+        a_heater=config.value(head, "heater_area_cm2", scale=1e-4))
+    red = metrology.reduce(
+        dT, power=config.value(head, "power_w"),
+        t_amb=config.value(head, "t_amb_c"), t_in=config.value(head, "t_in_c"),
+        r_loss=config.value(head, "r_loss_k_w"), chip=chip)
     payload = {"r_th_K_W": red.r_th, "q_loss_W": red.q_loss,
                "t_s_avg_C": red.t_s_avg, "htc_W_m2K": red.htc,
                "dT_avg_K": red.dT_avg}
@@ -402,7 +386,7 @@ def cmd_gci(args) -> int:
 
 # benchmark fixture unit parsing -------------------------------------------
 
-_FLOW_UNITS = {"ml/min": MLPM, "l/min": 1e-3 / 60.0}
+_FLOW_UNITS = {"ml/min": M3S_PER_MLPM, "l/min": 1e-3 / 60.0}
 _DP_UNITS = {"pa": 1.0, "kpa": 1e3, "bar": 1e5}
 
 
@@ -526,8 +510,7 @@ def run(argv=None) -> int:
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NoFlowError, InfeasibleError, NonPhysicalReductionError,
-            NonMonotoneConvergenceError, NonMeaningfulResistanceError) as exc:
+    except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except SolverError as exc:

@@ -1,4 +1,5 @@
-"""INI config reading for the CLI configs and the topo problem files.
+"""INI config reading for the CLI configs, the topo problem files and the
+``#`` header of a data file.
 
 A missing, malformed or non-finite entry raises ``ConfigError`` naming its
 ``[section]`` and key.
@@ -15,13 +16,36 @@ from .errors import ConfigError
 REQUIRED = object()   # default of a key the file must give
 
 
+def _parser(**options) -> configparser.ConfigParser:
+    """A parser whose values are literal (no '%' interpolation)."""
+    return configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                     interpolation=None, **options)
+
+
 def read(path) -> configparser.ConfigParser:
-    """Parse an INI file; values are literal (no '%' interpolation)."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
-                                   interpolation=None)
+    """Parse an INI file."""
+    cp = _parser()
     if not cp.read(path):
         raise ConfigError(f"cannot read config file {str(path)!r}")
     return cp
+
+
+def header(path):
+    """The ``[header]`` section of a data file: one ``key = value`` entry
+    per leading ``#`` line. Other ``#`` lines, and those with no key before
+    the ``=``, are free text and skipped; a repeated key keeps its last
+    value."""
+    lines = ["[header]"]
+    with open(path) as fh:
+        for line in fh:
+            if not line.startswith("#"):
+                break
+            text = line[1:].strip()
+            if "=" in text and not text.startswith("="):
+                lines.append(text)
+    cp = _parser(strict=False, delimiters=("=",))
+    cp.read_string("\n".join(lines))
+    return cp["header"]
 
 
 def section(cp: configparser.ConfigParser, name: str):

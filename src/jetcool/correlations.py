@@ -176,11 +176,10 @@ class PowerLawCorrelation:
     xn_over_d_exponent: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.c > 0:
-            raise InvalidInputError(f"{self.label}: c must be > 0, got {self.c}")
-        if not 0 < self.m < 1:
-            raise InvalidInputError(
-                f"{self.label}: Re exponent must be in (0, 1), got {self.m}")
+        check(0 < self.c < math.inf, "{}: c must be > 0, got {}", self.label,
+              self.c)
+        check(0 < self.m < 1, "{}: Re exponent must be in (0, 1), got {}",
+              self.label, self.m)
         if not 0.45 <= self.m <= 0.85:
             _warnings.warn(
                 f"{self.label}: Re exponent {self.m} outside the usual "
@@ -210,6 +209,8 @@ def eval_catalog(entry: PowerLawCorrelation, re: float,
             continue
         if arg is None:
             raise InvalidInputError(f"{entry.label}: {name} required")
+        check((arg > 0) & (arg < math.inf), "{}: {} must be > 0, got {}",
+              entry.label, name, arg)
         value *= arg ** exponent
     return Prediction(value, tuple(warns))
 
@@ -282,8 +283,8 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> FitResult:
         raise UnderdeterminedFitError("need at least 2 points")
     re = np.asarray([p[0] for p in points], dtype=float)
     nu = np.asarray([p[1] for p in points], dtype=float)
-    if np.any(re <= 0) or np.any(nu <= 0):
-        raise InvalidInputError("all samples must be positive")
+    check((re > 0) & (re < math.inf) & (nu > 0) & (nu < math.inf),
+          "all samples must be finite and > 0, got ({}, {})", re, nu)
     if np.unique(re).size < 2:
         raise UnderdeterminedFitError("need at least 2 distinct Re values")
     A = np.column_stack([np.ones_like(re), np.log(re)])
@@ -371,8 +372,9 @@ def fit_htc_model(points: Sequence[tuple[float, float, float]],
     d = np.asarray([p[0] for p in points], dtype=float)
     m = np.asarray([p[1] for p in points], dtype=float)
     htc = np.asarray([p[2] for p in points], dtype=float)
-    if np.any(d <= 0) or np.any(m <= 0) or np.any(htc <= 0):
-        raise InvalidInputError("all samples must be positive")
+    check((d > 0) & (d < math.inf) & (m > 0) & (m < math.inf) & (htc > 0)
+          & (htc < math.inf),
+          "all samples must be finite and > 0, got ({}, {}, {})", d, m, htc)
     if np.unique(d).size < 2 or np.unique(m).size < 2:
         raise UnderdeterminedFitError("need >= 2 distinct diameters and flows")
     A = np.column_stack([np.ones_like(d), np.log(d), np.log(m), d * np.log(m)])

@@ -21,28 +21,29 @@ class InvalidGeometryError(InvalidInputError):
     """A geometric description is inconsistent (ratio >= 1, zero diameter...)."""
 
 
-class NoFlowError(JetcoolError):
-    """An evaluation was requested at zero flow."""
-
-
 class InfeasibleError(JetcoolError):
-    """A constraint target cannot be met anywhere in the searched range."""
+    """A constraint target cannot be met anywhere in the searched range; the
+    base of every error the CLI reports with exit code 3."""
+
+
+class NoFlowError(InfeasibleError):
+    """An evaluation was requested at zero flow."""
 
 
 class SolverError(JetcoolError):
     """A linear system or root-finding problem could not be solved."""
 
 
-class NonPhysicalReductionError(JetcoolError):
+class NonPhysicalReductionError(InfeasibleError):
     """Data reduction produced a non-physical state (surface colder than inlet)."""
 
 
-class NonMonotoneConvergenceError(JetcoolError):
+class NonMonotoneConvergenceError(InfeasibleError):
     """Grid-level solutions do not converge monotonically; the standard
     convergence-index analysis does not apply."""
 
 
-class NonMeaningfulResistanceError(JetcoolError):
+class NonMeaningfulResistanceError(InfeasibleError):
     """Thermal-resistance matrix entries requested for a measurement with more
     than one active heat source."""
 

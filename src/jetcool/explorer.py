@@ -13,7 +13,8 @@ import numpy as np
 from . import correlations as corr
 from . import props as pr
 from .errors import InfeasibleError, InvalidInputError, check
-from .geometry import CoolerArray, array_from_ratios
+from .geometry import (HEATED_FRACTION_DEFAULT, CoolerArray,
+                       array_from_ratios)
 from .performance import (DT_MAX_ALLOW_DEFAULT, OperatingPoint,
                           PerformanceReport, dp_curve, evaluate_design)
 from .roots import bisect_bracket, bisect_monotone
@@ -32,7 +33,7 @@ class DesignSpace:
     fluid: pr.FluidProps
     solid: pr.SolidProps
     do_over_L: tuple[float, ...] | None = None  # defaults to d_i/L per design
-    heated_fraction: float = 0.75
+    heated_fraction: float = HEATED_FRACTION_DEFAULT
 
     def designs(self):
         dos = self.do_over_L
@@ -180,10 +181,14 @@ def hotspot_scale(base_htc: float, base_flow_per_nozzle: float, n_sq: int,
     m = N^2/M (exact ratio, no rounding); htc* = m^0.67 htc, V* = m V,
     dp scales with m^2 at fixed total flow.
     """
+    check(0 < base_htc < math.inf, "base_htc must be finite and > 0, got {}",
+          base_htc)
+    check(0 < base_flow_per_nozzle < math.inf,
+          "base_flow_per_nozzle must be finite and > 0, got {}",
+          base_flow_per_nozzle)
     check(m_nozzles >= 1, "m_nozzles must be >= 1, got {}", m_nozzles)
-    if n_sq < m_nozzles:
-        raise InvalidInputError(
-            f"n_sq {n_sq} must be >= m_nozzles {m_nozzles}")
+    check(n_sq >= m_nozzles, "n_sq {} must be >= m_nozzles {}", n_sq,
+          m_nozzles)
     m = n_sq / m_nozzles
     return HotspotScaling(m=m, htc_star=m ** 0.67 * base_htc,
                           flow_star=m * base_flow_per_nozzle, dp_ratio=m * m)
@@ -248,11 +253,10 @@ def hotspot_synthesize(power_map: PowerMap, flow_total: float,
     htc_model = htc_model if htc_model is not None else corr.HotspotHtcModel()
     dp_model = dp_model if dp_model is not None else corr.NozzlePressureModel()
     pitch_mm = power_map.cell_pitch * 1000.0
-    if (abs(pitch_mm - htc_model.pitch_mm) > 1e-9
-            or abs(pitch_mm - dp_model.pitch_mm) > 1e-9):
-        raise InvalidInputError(
-            f"fitted constants hold for {htc_model.pitch_mm} mm pitch; "
-            f"map pitch is {pitch_mm} mm — supply refitted models")
+    check(abs(pitch_mm - htc_model.pitch_mm) <= 1e-9
+          and abs(pitch_mm - dp_model.pitch_mm) <= 1e-9,
+          "fitted constants hold for {} mm pitch; map pitch is {} mm — "
+          "supply refitted models", htc_model.pitch_mm, pitch_mm)
     d_min, d_max = bounds
     check((0 < d_min) & (d_min < d_max), "bad diameter bounds {}", bounds)
     check(power_map.total_power > 0, "total map power must be > 0")

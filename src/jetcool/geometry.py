@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from .errors import InvalidGeometryError, check
 
 CM2_PER_M2 = 1e4
+#: Default share of the chip area covered by the heater.
+HEATED_FRACTION_DEFAULT = 0.75
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class CoolerArray:
     chip_side: float
     n: int
     cell: UnitCell
-    heated_fraction: float = 0.75
+    heated_fraction: float = HEATED_FRACTION_DEFAULT
 
     def __post_init__(self) -> None:
         check(self.n >= 1, "n must be >= 1, got {}", self.n,
@@ -105,7 +107,9 @@ class CoolerArray:
 
 def array_from_ratios(chip_side: float, n: int, di_over_L: float,
                       do_over_L: float, H_over_L: float, t_over_L: float,
-                      tc: float, heated_fraction: float = 0.75) -> CoolerArray:
+                      tc: float,
+                      heated_fraction: float = HEATED_FRACTION_DEFAULT
+                      ) -> CoolerArray:
     """Build a CoolerArray from dimensionless ratios and absolute chip size."""
     check(n >= 1, "n must be >= 1, got {}", n, error=InvalidGeometryError)
     check((di_over_L > 0) & (di_over_L < 1), "d_i/L must be in (0, 1), got {}",

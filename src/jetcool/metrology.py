@@ -13,14 +13,13 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import (InvalidInputError, NonMonotoneConvergenceError,
-                     NonPhysicalReductionError)
+from .errors import (NonMonotoneConvergenceError, NonPhysicalReductionError,
+                     check)
 
 #: diode sensitivity default [mV/degC] of the 32x32 sensor array
 DIODE_SENSITIVITY_MV_C = -1.55
 #: resistor temperature coefficient default [1/degC] at 25 degC reference
 TCR_PER_C = 3553e-6
-TCR_REF_TEMP_C = 25.0
 #: three-grid-level safety factor for the convergence index
 GCI_SAFETY_FACTOR = 1.25
 
@@ -43,14 +42,11 @@ class SensorMap:
     model: SensorModel
     sensitivity: float = DIODE_SENSITIVITY_MV_C * 1e-3
     tcr: float = TCR_PER_C
-    ref_temp: float = TCR_REF_TEMP_C
-    cell_pitch: float = 0.25e-3
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "readings",
                            np.asarray(self.readings, dtype=float))
-        if not np.all(np.isfinite(self.readings)):
-            raise InvalidInputError("sensor readings must be finite")
+        check(abs(self.readings) < math.inf, "sensor readings must be finite")
 
 
 def sensor_to_dT(sensor_map: SensorMap, reference_readings) -> np.ndarray:
@@ -59,16 +55,18 @@ def sensor_to_dT(sensor_map: SensorMap, reference_readings) -> np.ndarray:
     diode: dT = (V_on - V_off)/sigma; tcr: dT = (R - R0)/(R0 * TCR).
     """
     ref = np.asarray(reference_readings, dtype=float)
-    if ref.shape != sensor_map.readings.shape:
-        raise InvalidInputError(
-            f"reference shape {ref.shape} != readings shape "
-            f"{sensor_map.readings.shape}")
+    check(ref.shape == sensor_map.readings.shape,
+          "reference shape {} != readings shape {}", ref.shape,
+          sensor_map.readings.shape)
+    check(abs(ref) < math.inf, "reference readings must be finite")
     if sensor_map.model is SensorModel.DIODE:
-        if sensor_map.sensitivity == 0:
-            raise InvalidInputError("diode sensitivity must be nonzero")
-        return (sensor_map.readings - ref) / sensor_map.sensitivity
-    if sensor_map.tcr == 0 or np.any(ref == 0):
-        raise InvalidInputError("R0 and TCR must be nonzero")
+        sens = sensor_map.sensitivity
+        check(0 < abs(sens) < math.inf,
+              "diode sensitivity must be finite and nonzero, got {}", sens)
+        return (sensor_map.readings - ref) / sens
+    check(0 < abs(sensor_map.tcr) < math.inf,
+          "TCR must be finite and nonzero, got {}", sensor_map.tcr)
+    check(ref != 0, "R0 must be nonzero")
     return (sensor_map.readings - ref) / (ref * sensor_map.tcr)
 
 
@@ -82,8 +80,9 @@ class ChipStack:
 
     def __post_init__(self) -> None:
         for name in ("t_c", "k_s", "a_heater"):
-            if getattr(self, name) <= 0:
-                raise InvalidInputError(f"{name} must be > 0")
+            val = getattr(self, name)
+            check(0 < val < math.inf, "{} must be finite and > 0, got {}",
+                  name, val)
 
 
 class Reduction(NamedTuple):
@@ -104,17 +103,14 @@ def reduce(dT_grid, power: float, t_amb: float, t_in: float, r_loss: float,
     temperature then defines htc = net/(A*(t_s - t_in)). By construction
     htc*A*(t_s - t_in) + q_loss = power exactly.
     """
-    for name, val in (("power", power), ("t_amb", t_amb), ("t_in", t_in),
-                      ("r_loss", r_loss)):
-        if not math.isfinite(val):
-            raise InvalidInputError(f"{name} must be finite, got {val}")
-    if power <= 0:
-        raise InvalidInputError(f"power must be > 0, got {power}")
-    if r_loss <= 0:
-        raise InvalidInputError(f"r_loss must be > 0, got {r_loss}")
+    check(0 < power < math.inf, "power must be finite and > 0, got {}", power)
+    check(0 < r_loss < math.inf, "r_loss must be finite and > 0, got {}",
+          r_loss)
+    check(abs(t_amb) < math.inf and abs(t_in) < math.inf,
+          "t_amb and t_in must be finite, got {}, {}", t_amb, t_in)
     dT = np.asarray(dT_grid, dtype=float)
-    if dT.size == 0 or not np.all(np.isfinite(dT)):
-        raise InvalidInputError("temperature map must be non-empty and finite")
+    check(dT.size > 0 and np.all(abs(dT) < math.inf),
+          "temperature map must be non-empty and finite")
     dT_avg = float(dT.mean())
     t_chip = t_in + dT_avg
     r_th = dT_avg / power
@@ -131,11 +127,10 @@ def reduce(dT_grid, power: float, t_amb: float, t_in: float, r_loss: float,
 
 def propagate(budget: Mapping[str, float]) -> float:
     """Root-sum-square of independent relative uncertainty components."""
-    if not budget:
-        raise InvalidInputError("empty uncertainty budget")
+    check(len(budget) > 0, "empty uncertainty budget")
     comps = np.asarray(list(budget.values()), dtype=float)
-    if np.any(comps < 0) or not np.all(np.isfinite(comps)):
-        raise InvalidInputError("components must be finite and >= 0")
+    check((comps >= 0) & (comps < math.inf),
+          "components must be finite and >= 0, got {}", comps)
     return float(np.sqrt(np.sum(comps ** 2)))
 
 
@@ -156,15 +151,14 @@ def gci(f1_fine: float, f2: float, f3_coarse: float, r: float = 2.0,
     Differences must be same-signed and nonzero (oscillatory convergence is
     out of scope); the inputs must be finite, and f1, f2 nonzero.
     """
-    for name, val in (("f1", f1_fine), ("f2", f2), ("f3", f3_coarse),
-                      ("r", r), ("fs", fs)):
-        if not math.isfinite(val):
-            raise InvalidInputError(f"{name} must be finite, got {val}")
-    if r <= 1:
-        raise InvalidInputError(f"refinement ratio must be > 1, got {r}")
-    if f1_fine == 0 or f2 == 0:
-        raise InvalidInputError(
-            "f1 and f2 must be nonzero: the index is relative to them")
+    for name, val in (("f1", f1_fine), ("f2", f2), ("f3", f3_coarse)):
+        check(abs(val) < math.inf, "{} must be finite, got {}", name, val)
+    check(1 < r < math.inf, "refinement ratio must be finite and > 1, got {}",
+          r)
+    check(0 < fs < math.inf, "safety factor fs must be finite and > 0, got {}",
+          fs)
+    check(f1_fine != 0 and f2 != 0,
+          "f1 and f2 must be nonzero: the index is relative to them")
     d32 = f3_coarse - f2
     d21 = f2 - f1_fine
     if d32 == 0 or d21 == 0 or (d32 > 0) != (d21 > 0):

@@ -39,8 +39,9 @@ class OperatingPoint:
               "flow_total must be >= 0, got {}", self.flow_total)
         check((self.chip_power >= 0) & (self.chip_power < math.inf),
               "chip_power must be finite and >= 0, got {}", self.chip_power)
-        pr._require_finite(inlet_temp=self.inlet_temp,
-                           ambient_temp=self.ambient_temp)
+        for name in ("inlet_temp", "ambient_temp"):
+            val = getattr(self, name)
+            check(abs(val) < math.inf, "{} must be finite, got {}", name, val)
 
 
 @dataclass(frozen=True)
@@ -211,6 +212,10 @@ class CouplingMeasurement:
     t_in: float                     # degC coolant inlet
 
     def __post_init__(self) -> None:
+        values = np.array([*self.powers.values(), *self.temps.values(),
+                           self.t_in], dtype=float)
+        check(abs(values) < math.inf,
+              "powers, temperatures and t_in must be finite, got {}", values)
         active = [c for c, p in self.powers.items() if p != 0.0]
         if len(active) != 1:
             raise NonMeaningfulResistanceError(
@@ -235,8 +240,7 @@ def coupling(measurements: Sequence[CouplingMeasurement]) -> CouplingMatrix:
     coupling_ratio[(passive, active)] = (T_passive - T_in)/(T_active - T_in).
     One measurement per chip is required.
     """
-    if not measurements:
-        raise InvalidInputError("no measurements")
+    check(len(measurements) > 0, "no measurements")
     labels = tuple(sorted({c for m in measurements for c in m.temps}))
     seen: dict[str, CouplingMeasurement] = {}
     for m in measurements:
@@ -295,8 +299,7 @@ def coolant_compare(coolants: Sequence[pr.FluidProps], reference: pr.FluidProps,
     """
     if mode not in ("const_flow", "const_pump"):
         raise InvalidInputError(f"unknown mode {mode!r}")
-    if op.flow_total <= 0:
-        raise NoFlowError("flow_total must be > 0")
+    check(op.flow_total > 0, "flow_total must be > 0", error=NoFlowError)
     fluids = pr.FluidProps("coolants", *(
         np.array([getattr(c, f) for c in coolants])
         for f in ("density", "viscosity", "specific_heat", "conductivity",

@@ -23,12 +23,6 @@ from .errors import check
 PR_PAPER = 7.56
 
 
-def _require_finite(**values: float) -> None:
-    for name, val in values.items():
-        check((val > -math.inf) & (val < math.inf),
-              "{} must be finite, got {!r}", name, val)
-
-
 @dataclass(frozen=True)
 class FluidProps:
     """Constant-property liquid coolant.
@@ -49,9 +43,8 @@ class FluidProps:
         for field in ("density", "viscosity", "specific_heat",
                       "conductivity", "reference_temp"):
             val = getattr(self, field)
-            check((val > -math.inf) & (val < math.inf),
-                  "{} must be finite, got {!r}", field, val)
-            check(val > 0, "fluid {!r}: {} must be > 0, got {}", self.name,
+            check((val > 0) & (val < math.inf),
+                  "fluid {!r}: {} must be finite and > 0, got {}", self.name,
                   field, val)
 
 
@@ -63,17 +56,18 @@ class SolidProps:
     conductivity: float
 
     def __post_init__(self) -> None:
-        _require_finite(conductivity=self.conductivity)
-        check(self.conductivity > 0, "solid {!r}: conductivity must be > 0",
-              self.name)
+        check(0 < self.conductivity < math.inf,
+              "solid {!r}: conductivity must be finite and > 0, got {}",
+              self.name, self.conductivity)
 
 
 def reynolds(fluid: FluidProps, d: float, v: float) -> float:
     """Nozzle Reynolds number rho*d*V/mu for diameter d [m], velocity v [m/s]
     (floats or arrays)."""
-    _require_finite(d=d, v=v)
-    check(d > 0, "diameter must be > 0, got {}", d)
-    check(v >= 0, "velocity must be >= 0, got {}", v)
+    check((d > 0) & (d < math.inf), "diameter must be finite and > 0, got {}",
+          d)
+    check((v >= 0) & (v < math.inf), "velocity must be finite and >= 0, got {}",
+          v)
     return fluid.density * d * v / fluid.viscosity
 
 
@@ -88,10 +82,13 @@ def biot(nu_f: float, t_c: float, d_i: float, k_f: float, k_s: float) -> float:
     t_c is the chip thickness [m], d_i the nozzle diameter [m]; zero t_c or
     zero Nu_f give Bi = 0 (no conduction penalty). Floats or arrays.
     """
-    _require_finite(nu_f=nu_f, t_c=t_c, d_i=d_i, k_f=k_f, k_s=k_s)
-    check(d_i > 0, "d_i must be > 0, got {}", d_i)
-    check(k_s > 0, "k_s must be > 0, got {}", k_s)
-    check((nu_f >= 0) & (t_c >= 0), "nu_f and t_c must be >= 0")
+    check((d_i > 0) & (d_i < math.inf), "d_i must be finite and > 0, got {}",
+          d_i)
+    check((k_s > 0) & (k_s < math.inf), "k_s must be finite and > 0, got {}",
+          k_s)
+    check((nu_f >= 0) & (nu_f < math.inf) & (t_c >= 0) & (t_c < math.inf),
+          "nu_f and t_c must be finite and >= 0")
+    check(abs(k_f) < math.inf, "k_f must be finite, got {}", k_f)
     return nu_f * (t_c / d_i) * (k_f / k_s)
 
 

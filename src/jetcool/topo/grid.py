@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidInputError
+from ..errors import InvalidInputError, check
 
 SIDES = ("left", "right", "bottom", "top")
 KINDS = ("wall", "inlet", "outlet_velocity", "outlet_pressure")
@@ -40,14 +40,13 @@ class Segment:
             raise InvalidInputError(f"unknown side {self.side!r}")
         if self.kind not in KINDS:
             raise InvalidInputError(f"unknown boundary kind {self.kind!r}")
-        if self.hi <= self.lo or self.lo < 0:
-            raise InvalidInputError(
-                f"bad segment range [{self.lo}, {self.hi})")
+        check(0 <= self.lo < self.hi, "bad segment range [{}, {})", self.lo,
+              self.hi)
         if self.profile not in ("constant", "parabolic"):
             raise InvalidInputError(f"unknown profile {self.profile!r}")
-        if (self.kind in ("inlet", "outlet_velocity")
-                and not 0 <= self.value < np.inf):
-            raise InvalidInputError("segment speed must be finite and >= 0")
+        check(self.kind not in ("inlet", "outlet_velocity")
+              or 0 <= self.value < np.inf,
+              "segment speed must be finite and >= 0")
 
     def node_values(self) -> np.ndarray:
         """Normal speeds at the face midpoints of the segment."""
@@ -66,10 +65,9 @@ class Grid2D:
 
     def __init__(self, nx: int, ny: int, dx: float, dy: float,
                  segments: list[Segment] | tuple[Segment, ...] = ()):
-        if nx < 1 or ny < 1:
-            raise InvalidInputError("nx and ny must be >= 1")
-        if not (0 < dx < np.inf and 0 < dy < np.inf):
-            raise InvalidInputError("dx and dy must be finite and > 0")
+        check(nx >= 1 and ny >= 1, "nx and ny must be >= 1")
+        check(0 < dx < np.inf and 0 < dy < np.inf,
+              "dx and dy must be finite and > 0")
         self.nx, self.ny = int(nx), int(ny)
         self.dx, self.dy = float(dx), float(dy)
         self.segments = tuple(segments)
@@ -81,14 +79,12 @@ class Grid2D:
         covered = {s: np.zeros(side_len[s], dtype=bool) for s in SIDES}
 
         for seg in self.segments:
-            if seg.hi > side_len[seg.side]:
-                raise InvalidInputError(
-                    f"segment [{seg.lo}, {seg.hi}) exceeds {seg.side} side "
-                    f"length {side_len[seg.side]}")
+            check(seg.hi <= side_len[seg.side],
+                  "segment [{}, {}) exceeds {} side length {}", seg.lo,
+                  seg.hi, seg.side, side_len[seg.side])
             span = slice(seg.lo, seg.hi)
-            if covered[seg.side][span].any():
-                raise InvalidInputError(
-                    f"overlapping segments on side {seg.side!r}")
+            check(not covered[seg.side][span].any(),
+                  "overlapping segments on side {!r}", seg.side)
             covered[seg.side][span] = True
             self.side_kind[seg.side][span] = KINDS.index(seg.kind)
             speeds = seg.node_values()
@@ -104,19 +100,16 @@ class Grid2D:
                 comp = -speeds if into else speeds
             self.side_value[seg.side][span] = comp
 
-        kinds = [seg.kind for seg in self.segments]
-        if "inlet" not in kinds:
-            raise InvalidInputError("grid needs at least one inlet segment")
-        if not ({"outlet_velocity", "outlet_pressure"} & set(kinds)):
-            raise InvalidInputError("grid needs at least one outlet segment")
+        kinds = {seg.kind for seg in self.segments}
+        check("inlet" in kinds, "grid needs at least one inlet segment")
+        check(not kinds.isdisjoint({"outlet_velocity", "outlet_pressure"}),
+              "grid needs at least one outlet segment")
 
         if not self.has_pressure_boundary:
             flux = self.boundary_flux_imbalance()
             scale = max(abs(self.inlet_flux()), 1e-300)
-            if abs(flux) > 1e-12 * scale:
-                raise InvalidInputError(
-                    "all-velocity boundaries must balance: net flux "
-                    f"{flux:g} vs inlet {scale:g}")
+            check(abs(flux) <= 1e-12 * scale, "all-velocity boundaries must "
+                  "balance: net flux {:g} vs inlet {:g}", flux, scale)
 
     # -- geometry ----------------------------------------------------------
 
@@ -176,8 +169,7 @@ class DensityField:
         object.__setattr__(self, "eps", arr)
         if arr.ndim != 2:
             raise InvalidInputError("eps must be a 2D array")
-        if not np.all((arr >= -1e-12) & (arr <= 1 + 1e-12)):
-            raise InvalidInputError("eps must lie in [0, 1]")
+        check((arr >= -1e-12) & (arr <= 1 + 1e-12), "eps must lie in [0, 1]")
 
     @property
     def volume_fraction(self) -> float:

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import InvalidInputError
+from ..errors import check
 from .grid import DensityField
 from .objective import gradient, objective
 from .problem import TopoProblem
@@ -75,14 +75,12 @@ def optimize(problem: TopoProblem, eps0: DensityField | None = None,
     0.1)): each stage starts from the previous stage's design, sharpening
     intermediate densities toward 0/1.
     """
-    if max_iters < 0:
-        raise InvalidInputError(f"max_iters must be >= 0, got {max_iters}")
+    check(max_iters >= 0, "max_iters must be >= 0, got {}", max_iters)
     grid = problem.grid
     if eps0 is None:
         eps0 = DensityField.uniform(grid, problem.volume_fraction)
-    if eps0.eps.shape != (grid.nx, grid.ny):
-        raise InvalidInputError(
-            f"eps0 shape {eps0.eps.shape} != grid {(grid.nx, grid.ny)}")
+    check(eps0.eps.shape == (grid.nx, grid.ny), "eps0 shape {} != grid {}",
+          eps0.eps.shape, (grid.nx, grid.ny))
 
     op = StokesOperator(grid, problem.mu)
     eps = eps0.eps

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidInputError
+from ..errors import InvalidInputError, check
 from ..props import FluidProps
 from .grid import Grid2D
 
@@ -23,8 +23,9 @@ def default_alpha_bounds(mu: float, length_scale: float = 1.0) -> tuple[float, f
     around, giving eps = 1 the large drag; that swapped reading stays
     available behind ``alpha_assignment="literal"`` for reproduction.
     """
-    if length_scale <= 0:
-        raise InvalidInputError(f"length_scale must be > 0, got {length_scale}")
+    check(0 < mu < np.inf, "viscosity must be finite and > 0, got {}", mu)
+    check(0 < length_scale < np.inf,
+          "length_scale must be finite and > 0, got {}", length_scale)
     return (2.5 * mu / (0.01 * length_scale) ** 2,
             2.5 * mu / (100.0 * length_scale) ** 2)
 
@@ -36,11 +37,9 @@ def inverse_permeability(eps, q: float, alpha_max: float,
     eps may be a scalar or array in [0, 1]; q > 0 tunes how attractive
     intermediate densities are (small q biases strongly toward fluid).
     """
-    if not q > 0:
-        raise InvalidInputError(f"q must be > 0, got {q}")
+    check(0 < q < np.inf, "q must be finite and > 0, got {}", q)
     arr = np.asarray(eps, dtype=float)
-    if not np.all((arr >= -1e-12) & (arr <= 1 + 1e-12)):
-        raise InvalidInputError("eps must lie in [0, 1]")
+    check((arr >= -1e-12) & (arr <= 1 + 1e-12), "eps must lie in [0, 1]")
     s = arr * (1.0 + q) / (arr + q)
     # blend form keeps the endpoints exact despite the magnitude gap
     out = alpha_max * (1.0 - s) + alpha_min * s
@@ -79,18 +78,16 @@ class TopoProblem:
     body_force: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.beta <= 1.0:
-            raise InvalidInputError(f"beta must be in [0, 1], got {self.beta}")
-        if not 0.0 < self.volume_fraction <= 1.0:
-            raise InvalidInputError(
-                f"volume_fraction must be in (0, 1], got {self.volume_fraction}")
-        if not self.q > 0:
-            raise InvalidInputError(f"q must be > 0, got {self.q}")
+        check(0.0 <= self.beta <= 1.0, "beta must be in [0, 1], got {}",
+              self.beta)
+        check(0.0 < self.volume_fraction <= 1.0,
+              "volume_fraction must be in (0, 1], got {}", self.volume_fraction)
+        check(0 < self.q < np.inf, "q must be finite and > 0, got {}",
+              self.q)
         for name in ("lambda1", "lambda2", "u_ref"):
             val = getattr(self, name)
-            if val is not None and not (np.isfinite(val) and val > 0):
-                raise InvalidInputError(
-                    f"{name} must be finite and > 0, got {val}")
+            check(val is None or 0.0 < val < np.inf,
+                  "{} must be finite and > 0, got {}", name, val)
         if self.alpha_assignment not in ("fluid", "literal"):
             raise InvalidInputError(
                 f"alpha_assignment must be 'fluid' or 'literal', "

@@ -35,13 +35,13 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from ..errors import InvalidInputError, SolverError, check
+from ..errors import SolverError, check
 from ..props import FluidProps
-from .grid import SIDES, DensityField, Grid2D
+from .grid import KINDS, SIDES, DensityField, Grid2D
 from .problem import TopoProblem
 
 _RESIDUAL_TOL = 1e-10
-_PRESSURE_KIND = 3  # KINDS.index("outlet_pressure")
+_PRESSURE_KIND = KINDS.index("outlet_pressure")
 
 # A grid takes the band path when both hold (see _BandLayout):
 # - kl^2 / sqrt(n) <= BAND_SCORE_MAX. Per factorization plus two solves on a
@@ -179,8 +179,7 @@ class StokesOperator:
     """Grid-bound discretization, reusable across density fields."""
 
     def __init__(self, grid: Grid2D, mu: float):
-        if mu <= 0:
-            raise InvalidInputError(f"viscosity must be > 0, got {mu}")
+        check(0 < mu < np.inf, "viscosity must be finite and > 0, got {}", mu)
         self.grid = grid
         self.mu = mu
         nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
@@ -377,9 +376,8 @@ def solve_flow(grid: Grid2D, eps: DensityField, fluid: FluidProps,
                body_force: tuple[float, float] = (0.0, 0.0)) -> FlowSolution:
     """One-off Brinkman flow solve (builds the operator; for repeated solves
     on the same grid use StokesOperator or TopoProblem/optimize)."""
-    if eps.eps.shape != (grid.nx, grid.ny):
-        raise InvalidInputError(
-            f"eps shape {eps.eps.shape} != grid cells {(grid.nx, grid.ny)}")
+    check(eps.eps.shape == (grid.nx, grid.ny), "eps shape {} != grid cells {}",
+          eps.eps.shape, (grid.nx, grid.ny))
     problem = TopoProblem(grid=grid, fluid=fluid, q=q, alpha_max=alpha_max,
                           alpha_min=alpha_min,
                           alpha_assignment=alpha_assignment)

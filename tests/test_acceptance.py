@@ -5,6 +5,7 @@ One test per criterion; each prints a PASS line with the measured numbers
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,6 +288,25 @@ def test_11_hotspot_synthesis():
     report(11, "hotspot synthesis",
            f"htc(0.3mm,15.63)={htc:.0f}, plenum spread "
            f"{np.ptp(dps) / plan.dp:.1e}, closure exact")
+
+
+def test_11b_hotspot_synthesis_meets_every_cell():
+    """Beside test 11, whose scan-path map flags two over-cooled cells: the
+    band-path mild map pinned in test_hotspot_plans.py gets a plan with no
+    flagged cell, on which every active cell meets htc = q''/dT_target."""
+    ref = np.load(Path(__file__).parent / "data" / "hotspot_plans.npz")
+    density = ref["mild.density"]
+    pitch_mm, flow_mlpm, dt_k = ref["mild.settings"]
+    assert pitch_mm == 1.0
+    plan = explorer.hotspot_synthesize(explorer.PowerMap(density),
+                                       flow_mlpm * MLPM, dt_k, water())
+    assert plan.infeasible_cells == () and plan.warnings == ()
+    active = density > 0
+    np.testing.assert_allclose(plan.htc[active],
+                               density[active] * 1e4 / dt_k, rtol=1e-9)
+    assert plan.flow_total_mlpm == pytest.approx(flow_mlpm, rel=1e-9)
+    report(11, "hotspot synthesis (b) band-path map, all cells ok",
+           f"{int(active.sum())} active cells at dT {dt_k:g} K")
 
 
 def test_12_catalog_and_fit():

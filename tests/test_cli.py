@@ -499,6 +499,30 @@ class TestReduceGci:
         assert payload["r_th_K_W"] == pytest.approx(dT.mean() / 50, rel=1e-9)
         assert payload["htc_W_m2K"] > 0
 
+    @pytest.mark.parametrize("line, message", [
+        ("# tc_mm = nan\n", "[header] tc_mm must be finite, got 'nan'"),
+        ("# tc_mm = -inf\n", "[header] tc_mm must be finite, got '-inf'"),
+        ("# tc_mm = 0.2mm\n", "[header] tc_mm = '0.2mm' is not a valid float"),
+        ("", "[header] missing required key 'tc_mm'"),
+    ])
+    def test_bad_header_value_exit_2(self, tmp_path, capsys, line, message):
+        cfg = write(tmp_path, "ds.csv",
+                    REDUCE_CSV.replace("# tc_mm = 0.2\n", line))
+        assert run(["reduce", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_header_free_text_skipped_and_last_value_kept(self, tmp_path):
+        plain = tmp_path / "plain"
+        run(["reduce", "--config", write(tmp_path, "a.csv", REDUCE_CSV),
+             "--out", str(plain)])
+        noted = tmp_path / "noted"
+        text = "# bench run 7: diode map\n# tc_mm = 5\n" + REDUCE_CSV
+        assert run(["reduce", "--config", write(tmp_path, "b.csv", text),
+                    "--out", str(noted)]) == 0
+        assert ((noted / "reduction.json").read_text()
+                == (plain / "reduction.json").read_text())
+
     def test_empty_dataset_exit_2(self, tmp_path):
         cfg = write(tmp_path, "ds.csv",
                     "row,col,reading_on,reading_off\n")

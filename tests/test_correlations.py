@@ -143,6 +143,14 @@ class TestCatalog:
         with pytest.raises(InvalidInputError):
             eval_catalog(entry, 3400.0)   # Pr and ratios required
 
+    @pytest.mark.parametrize("arg", ["pr", "h_over_d", "xn_over_d"])
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, 0.0, np.inf])
+    def test_eval_rejects_bad_optional_arguments(self, arg, bad):
+        entry = builtin_catalog()["huber-viskanta"]
+        args = {"pr": 7.0, "h_over_d": 1.0, "xn_over_d": 4.0, arg: bad}
+        with pytest.raises(InvalidInputError, match=arg):
+            eval_catalog(entry, 3400.0, **args)
+
     def test_out_of_validity_flag(self):
         _, warns = eval_catalog(builtin_catalog()["hoberg"], 20000.0)
         assert any(w.startswith("re_above_validity") for w in warns)
@@ -195,6 +203,12 @@ class TestFitPowerLaw:
             fit_power_law([(100.0, 5.0)])
         with pytest.raises(UnderdeterminedFitError):
             fit_power_law([(100.0, 5.0), (100.0, 6.0)])
+
+    @pytest.mark.parametrize("sample", [(200.0, np.nan), (np.nan, 7.0),
+                                        (np.inf, 7.0), (200.0, -7.0)])
+    def test_bad_sample_rejected(self, sample):
+        with pytest.raises(InvalidInputError, match="samples"):
+            fit_power_law([(100.0, 5.0), sample, (400.0, 9.0)])
 
 
 class TestComponentTrends:
@@ -262,3 +276,13 @@ class TestHotspotFits:
         with pytest.raises(UnderdeterminedFitError):
             fit_htc_model([(0.3, 5.0, 1e4), (0.3, 9.0, 2e4),
                            (0.3, 15.0, 3e4), (0.3, 20.0, 4e4)])
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_fit_rejects_bad_sample(self, column, bad):
+        model = HotspotHtcModel()
+        points = [[d, m, model.evaluate(d, m)]
+                  for d in (0.2, 0.5) for m in (2.0, 8.0, 20.0)]
+        points[3][column] = bad
+        with pytest.raises(InvalidInputError, match="samples"):
+            fit_htc_model(points)

@@ -138,6 +138,13 @@ class TestHotspotScale:
         with pytest.raises(InvalidInputError):
             hotspot_scale(5e4, 1.0, 8, 9)
 
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, 0.0, np.inf])
+    def test_base_values_must_be_positive_and_finite(self, bad):
+        with pytest.raises(InvalidInputError, match="base_htc"):
+            hotspot_scale(bad, 10 * MLPM, 64, 9)
+        with pytest.raises(InvalidInputError, match="base_flow_per_nozzle"):
+            hotspot_scale(5e4, bad, 64, 9)
+
 
 class TestHotspotSynthesize:
     def test_uniform_map_symmetry(self):

@@ -42,8 +42,30 @@ class TestSensors:
             sensor_to_dT(SensorMap(np.ones((2, 2)), SensorModel.DIODE),
                          np.ones((3, 3)))
 
+    @pytest.mark.parametrize("model, field", [(SensorModel.DIODE,
+                                               "sensitivity"),
+                                              (SensorModel.TCR, "tcr")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient_rejected(self, model, field, bad):
+        smap = SensorMap(np.ones((2, 2)), model, **{field: bad})
+        with pytest.raises(InvalidInputError, match="finite"):
+            sensor_to_dT(smap, np.full((2, 2), 2.0))
+
+    def test_non_finite_reference_rejected(self):
+        with pytest.raises(InvalidInputError, match="reference"):
+            sensor_to_dT(SensorMap(np.ones((2, 2)), SensorModel.DIODE),
+                         [[1.0, np.nan], [1.0, 1.0]])
+
 
 CHIP = ChipStack(t_c=0.2e-3, k_s=149.0, a_heater=0.48e-4)
+
+
+@pytest.mark.parametrize("field", ["t_c", "k_s", "a_heater"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_chip_stack_rejects_bad_values(field, bad):
+    values = {"t_c": 0.2e-3, "k_s": 149.0, "a_heater": 0.48e-4, field: bad}
+    with pytest.raises(InvalidInputError, match=field):
+        ChipStack(**values)
 
 
 class TestReduce:
@@ -116,6 +138,11 @@ class TestPropagate:
         with pytest.raises(InvalidInputError):
             propagate({})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.01])
+    def test_bad_component_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="components"):
+            propagate({"power": 0.001, "dT": bad})
+
 
 class TestGci:
     def test_worked_triple(self):
@@ -155,3 +182,8 @@ class TestGci:
                 gci(*args)
         with pytest.raises(InvalidInputError):
             gci(0.85, 0.9, 1.0, r=float("nan"))
+
+    @pytest.mark.parametrize("fs", [0.0, -1.25, np.nan, np.inf])
+    def test_safety_factor_must_be_positive_and_finite(self, fs):
+        with pytest.raises(InvalidInputError, match="fs"):
+            gci(0.85, 0.9, 1.0, fs=fs)

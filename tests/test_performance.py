@@ -167,6 +167,15 @@ class TestCoupling:
         with pytest.raises(InvalidInputError):
             coupling([m])
 
+    @pytest.mark.parametrize("field, value", [
+        ("temps", {"a": math.nan}), ("temps", {"a": math.inf}),
+        ("powers", {"a": math.nan}), ("t_in", math.nan)])
+    def test_non_finite_values_rejected(self, field, value):
+        values = {"powers": {"a": 50.0}, "temps": {"a": 15.0}, "t_in": 10.0,
+                  field: value}
+        with pytest.raises(InvalidInputError, match="finite"):
+            coupling([CouplingMeasurement("a", **values)])
+
 
 class TestCoolantCompare:
     def test_reference_is_unity(self, quad_array):

@@ -9,7 +9,10 @@ Stokes-Brinkman solver.
 - on random densities, ``StokesOperator.solve`` and its transposed solve
   equal a SuperLU solve of the same matrix on either factor path, every
   cell conserves mass, and the adjoint gradient matches central finite
-  differences.
+  differences;
+- the optimizer's ``_project`` returns a point in the box [0, 1], within
+  the move limit of the previous design and at most at the volume
+  fraction.
 
 Examples are few and derandomized so the suite stays fast and repeatable.
 """
@@ -19,7 +22,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -31,6 +34,7 @@ from jetcool.props import silicon, water
 from jetcool.roots import REL_TOL
 from jetcool.topo import (DensityField, Grid2D, Segment, TopoProblem,
                           gradient, objective, solver)
+from jetcool.topo.optimize import _project
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 CHIP, TC = 8e-3, 0.2e-3
@@ -179,3 +183,41 @@ def test_adjoint_gradient_matches_finite_differences(field, beta):
         dn[cell] -= FD_STEP
         g_fd[cell] = (j_of(up) - j_of(dn)) / (2 * FD_STEP)
     assert np.abs(g - g_fd).max() <= 1e-5 * np.abs(g_fd).max()
+
+
+# -- design projection ---------------------------------------------------
+
+ROUND_OFF = 1e-12
+
+
+def _fields(*ranges):
+    """Same-shape arrays with elements in each (low, high) range."""
+    return st.integers(1, 6).flatmap(lambda n: st.tuples(*(arrays(
+        np.float64, (n, 4), elements=st.floats(lo, hi)) for lo, hi in ranges)))
+
+
+@SETTINGS
+@given(_fields((0.0, 1.0), (-1.0, 1.0)), st.floats(0.01, 0.5),
+       st.floats(0.0, 1.0))
+# volume and move limit both bind: the shift pushes one cell to its limit
+@example((np.full((1, 4), 0.75), np.array([[-1.0, 1.0, 1.0, 1.0]])), 0.5, 0.0)
+def test_projected_step_is_feasible(fields, move_limit, slack):
+    # as in optimize: the previous design is feasible and the trial step
+    # stays within the move limit
+    previous, direction = fields
+    volume = previous.mean() + slack * (1.0 - previous.mean())
+    out = _project(previous + move_limit * direction, previous, volume,
+                   move_limit)
+    assert out.min() >= 0.0 and out.max() <= 1.0
+    assert np.abs(out - previous).max() <= move_limit + ROUND_OFF
+    assert out.mean() <= volume + ROUND_OFF
+
+
+@SETTINGS
+@given(_fields((0.0, 1.0)), st.floats(0.01, 1.0))
+def test_projected_start_is_feasible(fields, volume):
+    # optimize projects its start design with a move limit of 1
+    eps0, = fields
+    out = _project(eps0, eps0, volume, 1.0)
+    assert out.min() >= 0.0 and out.max() <= 1.0
+    assert out.mean() <= volume + ROUND_OFF

@@ -1,0 +1,31 @@
+"""Each input format has one reader and each check one idiom.
+
+INI files (and the ``#`` header of a data file) are parsed only in
+``jetcool.config``, CSV and JSON tables only in ``jetcool.tables``, and
+range checks go through ``errors.check`` rather than a private helper.
+"""
+
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "jetcool"
+
+# (text, the only module allowed to contain it, or None for none)
+CONFINED = [
+    ("ConfigParser(", "config.py"),
+    ("csv.DictReader(", "tables.py"),
+    ("json.dumps(", "tables.py"),
+    ("_require_finite", None),
+    ("_parse_dataset_header", None),
+]
+
+
+@pytest.mark.parametrize("text, home", CONFINED,
+                         ids=[text for text, _ in CONFINED])
+def test_text_confined_to_its_module(text, home):
+    modules = sorted(SRC.rglob("*.py"))
+    assert modules
+    found = [str(path.relative_to(SRC)) for path in modules
+             if text in path.read_text()]
+    assert set(found) <= {home} - {None}

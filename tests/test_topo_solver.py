@@ -50,6 +50,19 @@ class TestInversePermeability:
         with pytest.raises(InvalidInputError):
             inverse_permeability(np.nan, 0.01, 1.0, 0.0)
 
+    @pytest.mark.parametrize("mu, length, message", [
+        (np.nan, 0.01, "viscosity"), (np.inf, 0.01, "viscosity"),
+        (0.0, 0.01, "viscosity"), (1e-3, np.nan, "length_scale"),
+        (1e-3, 0.0, "length_scale")])
+    def test_bounds_reject_bad_arguments(self, mu, length, message):
+        with pytest.raises(InvalidInputError, match=message):
+            default_alpha_bounds(mu, length)
+
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, 0.0])
+    def test_operator_rejects_bad_viscosity(self, mu):
+        with pytest.raises(InvalidInputError, match="viscosity"):
+            StokesOperator(channel(4), mu)
+
 
 class TestPoiseuille:
     def test_profile_matches_analytic(self):
