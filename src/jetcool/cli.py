@@ -35,7 +35,7 @@ def _out_dir(args) -> Path:
 def _write_payload(args, payload: dict, stem: str) -> None:
     """Emit a report as JSON (default) or a flat key,value CSV."""
     out = _out_dir(args)
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         rows = []
         for key, val in payload.items():
             if isinstance(val, dict):
@@ -81,9 +81,7 @@ def cmd_predict(args) -> int:
     sec = config.section(cp, "operating")
     op = performance.OperatingPoint(
         flow_total=config.value(sec, "flow_mlpm", scale=M3S_PER_MLPM),
-        inlet_temp=config.value(sec, "inlet_c", 10.0),
-        chip_power=config.value(sec, "power_w", 0.0),
-        ambient_temp=config.value(sec, "ambient_c", 25.0))
+        chip_power=config.value(sec, "power_w", 0.0))
     dt_max = config.value(sec, "dt_max_allow",
                           performance.DT_MAX_ALLOW_DEFAULT)
     report = performance.evaluate_design(array, fluid, solid, op, dt_max)
@@ -239,8 +237,7 @@ def cmd_hotspot(args) -> int:
         return EXIT_OK
 
     sec = config.section(cp, "map")
-    density = np.loadtxt(config.value(sec, "file", cast=str), delimiter=",",
-                         ndmin=2)
+    density = tables.read_grid(config.value(sec, "file", cast=str))
     power_map = explorer.PowerMap(
         density_w_cm2=density,
         cell_pitch=config.value(sec, "pitch_mm", 1.0, scale=1e-3))

@@ -15,8 +15,8 @@ from . import props as pr
 from .errors import InfeasibleError, InvalidInputError, check
 from .geometry import (HEATED_FRACTION_DEFAULT, CoolerArray,
                        array_from_ratios)
-from .performance import (DT_MAX_ALLOW_DEFAULT, OperatingPoint,
-                          PerformanceReport, dp_curve, evaluate_design)
+from .performance import (OperatingPoint, PerformanceReport, dp_curve,
+                          evaluate_design)
 from .roots import bisect_bracket, bisect_monotone
 
 
@@ -79,9 +79,7 @@ class SweepRow:
     status: str                       # "ok" | "infeasible"
 
 
-def sweep(space: DesignSpace, mode: ConstraintMode,
-          dt_max_allow: float = DT_MAX_ALLOW_DEFAULT,
-          inlet_temp: float = 10.0) -> list[SweepRow]:
+def sweep(space: DesignSpace, mode: ConstraintMode) -> list[SweepRow]:
     """Evaluate every design under the constraint.
 
     All designs are evaluated as arrays in one ``evaluate_design`` call.
@@ -105,8 +103,7 @@ def sweep(space: DesignSpace, mode: ConstraintMode,
     ok = ~np.isnan(flow)
     report = evaluate_design(
         space.build(*(c[ok] for c in columns)), space.fluid, space.solid,
-        OperatingPoint(flow_total=flow[ok], inlet_temp=inlet_temp),
-        dt_max_allow=dt_max_allow)
+        OperatingPoint(flow_total=flow[ok]))
     reports = iter(report.rows())
     return [SweepRow(*design, v, next(reports), "ok") if good
             else SweepRow(*design, 0.0, None, "infeasible")
@@ -144,8 +141,7 @@ class CopGrid(NamedTuple):
     cop: np.ndarray                 # shape (len(n_values), len(H_over_L))
 
 
-def cop_surface(space: DesignSpace, flow: float,
-                dt_max_allow: float = DT_MAX_ALLOW_DEFAULT) -> CopGrid:
+def cop_surface(space: DesignSpace, flow: float) -> CopGrid:
     """COP over (nozzle density, cavity height) at a fixed total flow.
 
     Uses the first d_i/L and t/L of the space; one grid node per
@@ -157,8 +153,7 @@ def cop_surface(space: DesignSpace, flow: float,
     n, h = np.meshgrid(space.n_values, space.H_over_L, indexing="ij")
     array = space.build(n.ravel(), a, a, h.ravel(), t)
     report = evaluate_design(array, space.fluid, space.solid,
-                             OperatingPoint(flow_total=flow),
-                             dt_max_allow=dt_max_allow)
+                             OperatingPoint(flow_total=flow))
     density = array.nozzle_density_cm2.reshape(n.shape)[:, 0]
     return CopGrid(tuple(space.n_values), tuple(space.H_over_L),
                    tuple(density.tolist()), report.cop.reshape(n.shape))

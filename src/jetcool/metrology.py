@@ -22,6 +22,8 @@ DIODE_SENSITIVITY_MV_C = -1.55
 TCR_PER_C = 3553e-6
 #: three-grid-level safety factor for the convergence index
 GCI_SAFETY_FACTOR = 1.25
+#: largest |asymptotic_ratio - 1| still counted as the asymptotic range
+GCI_ASYMPTOTIC_TOL = 0.05
 
 
 class SensorModel(Enum):
@@ -143,13 +145,13 @@ class GciResult(NamedTuple):
 
 
 def gci(f1_fine: float, f2: float, f3_coarse: float, r: float = 2.0,
-        fs: float = GCI_SAFETY_FACTOR,
-        asymptotic_tol: float = 0.05) -> GciResult:
+        fs: float = GCI_SAFETY_FACTOR) -> GciResult:
     """Grid convergence index from three solutions at refinement ratio r.
 
     p = ln((f3-f2)/(f2-f1))/ln r; GCI_pair = fs*r^p/(r^p-1)*|relative change|.
     Differences must be same-signed and nonzero (oscillatory convergence is
-    out of scope); the inputs must be finite, and f1, f2 nonzero.
+    out of scope); the inputs must be finite, and f1, f2 nonzero. The ratio
+    is in the asymptotic range within GCI_ASYMPTOTIC_TOL (0.05) of 1.
     """
     for name, val in (("f1", f1_fine), ("f2", f2), ("f3", f3_coarse)):
         check(abs(val) < math.inf, "{} must be finite, got {}", name, val)
@@ -171,4 +173,4 @@ def gci(f1_fine: float, f2: float, f3_coarse: float, r: float = 2.0,
     gci12 = amp * abs(d21 / f1_fine)
     ratio = gci23 / (r ** p * gci12)
     return GciResult(p=p, gci12=gci12, gci23=gci23, asymptotic_ratio=ratio,
-                     in_asymptotic_range=abs(ratio - 1.0) <= asymptotic_tol)
+                     in_asymptotic_range=abs(ratio - 1.0) <= GCI_ASYMPTOTIC_TOL)

@@ -30,18 +30,13 @@ DT_MAX_ALLOW_DEFAULT = 60.0
 @dataclass(frozen=True)
 class OperatingPoint:
     flow_total: float          # m3/s
-    inlet_temp: float = 10.0   # degC
     chip_power: float = 0.0    # W
-    ambient_temp: float = 25.0  # degC
 
     def __post_init__(self) -> None:
         check((self.flow_total >= 0) & (self.flow_total < math.inf),
               "flow_total must be >= 0, got {}", self.flow_total)
         check((self.chip_power >= 0) & (self.chip_power < math.inf),
               "chip_power must be finite and >= 0, got {}", self.chip_power)
-        for name in ("inlet_temp", "ambient_temp"):
-            val = getattr(self, name)
-            check(abs(val) < math.inf, "{} must be finite, got {}", name, val)
 
 
 @dataclass(frozen=True)
@@ -238,7 +233,7 @@ def coupling(measurements: Sequence[CouplingMeasurement]) -> CouplingMatrix:
 
     R_ij = (T_i - T_in)/P_j from the measurement powering chip j only;
     coupling_ratio[(passive, active)] = (T_passive - T_in)/(T_active - T_in).
-    One measurement per chip is required.
+    One measurement per chip, giving every chip's temperature, is required.
     """
     check(len(measurements) > 0, "no measurements")
     labels = tuple(sorted({c for m in measurements for c in m.temps}))
@@ -246,6 +241,9 @@ def coupling(measurements: Sequence[CouplingMeasurement]) -> CouplingMatrix:
     for m in measurements:
         if m.active_chip in seen:
             raise InvalidInputError(f"duplicate measurement for {m.active_chip!r}")
+        lacking = sorted(set(labels) - set(m.temps))
+        check(not lacking, "measurement powering {!r} has no temperature for "
+              "chip(s) {}", m.active_chip, lacking)
         seen[m.active_chip] = m
     missing = set(labels) - set(seen)
     if missing:

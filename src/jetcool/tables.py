@@ -12,6 +12,8 @@ import itertools
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
 
 #: The tables shipped with jetcool (catalogs and the benchmark fixture).
@@ -55,3 +57,15 @@ def read_csv(path: str | Path, required) -> list[dict[str, str]]:
         if missing:
             raise ConfigError(f"{path}: missing columns {missing}")
         return list(reader)
+
+
+def read_grid(path: str | Path) -> np.ndarray:
+    """A file of comma-separated numbers as a 2-D array, one row per line;
+    a ragged row or a non-number raises ``ConfigError`` naming the file."""
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        # numpy's own advice after the ';' (``usecols``) does not apply
+        reason = str(exc).split(";")[0]
+        raise ConfigError(f"{path}: expected equal-length rows of "
+                          f"comma-separated numbers: {reason}") from None

@@ -15,7 +15,8 @@ from ..errors import InvalidInputError, check
 
 SIDES = ("left", "right", "bottom", "top")
 KINDS = ("wall", "inlet", "outlet_velocity", "outlet_pressure")
-VELOCITY_KINDS = ("wall", "inlet", "outlet_velocity")
+#: Sign of each side's outward normal along its coordinate axis.
+OUTWARD = {"left": -1.0, "right": 1.0, "bottom": -1.0, "top": 1.0}
 
 
 @dataclass(frozen=True)
@@ -87,18 +88,9 @@ class Grid2D:
                   "overlapping segments on side {!r}", seg.side)
             covered[seg.side][span] = True
             self.side_kind[seg.side][span] = KINDS.index(seg.kind)
-            speeds = seg.node_values()
-            # convert speed to the signed velocity component on that side
-            into = seg.kind == "inlet"
-            if seg.side == "left":
-                comp = speeds if into else -speeds
-            elif seg.side == "right":
-                comp = -speeds if into else speeds
-            elif seg.side == "bottom":
-                comp = speeds if into else -speeds
-            else:
-                comp = -speeds if into else speeds
-            self.side_value[seg.side][span] = comp
+            # inlets point against the outward normal, outlets along it
+            sign = OUTWARD[seg.side] * (-1.0 if seg.kind == "inlet" else 1.0)
+            self.side_value[seg.side][span] = sign * seg.node_values()
 
         kinds = {seg.kind for seg in self.segments}
         check("inlet" in kinds, "grid needs at least one inlet segment")
@@ -134,24 +126,23 @@ class Grid2D:
 
     # -- flux bookkeeping --------------------------------------------------
 
-    def inlet_flux(self) -> float:
-        """Total prescribed inflow [m2/s per unit depth]."""
+    def _flux_sum(self, signs: dict[str, float]) -> float:
+        """Prescribed flux of the segments whose kind is in ``signs``,
+        each times its kind's sign [m2/s per unit depth]."""
         total = 0.0
         for seg in self.segments:
-            if seg.kind != "inlet":
-                continue
-            total += seg.node_values().sum() * self.face_length(seg.side)
+            if seg.kind in signs:
+                s = seg.node_values().sum() * self.face_length(seg.side)
+                total += signs[seg.kind] * s
         return total
+
+    def inlet_flux(self) -> float:
+        """Total prescribed inflow [m2/s per unit depth]."""
+        return self._flux_sum({"inlet": 1.0})
 
     def boundary_flux_imbalance(self) -> float:
         """Net prescribed inflow minus outflow over velocity segments."""
-        total = 0.0
-        for seg in self.segments:
-            if seg.kind not in ("inlet", "outlet_velocity"):
-                continue
-            s = seg.node_values().sum() * self.face_length(seg.side)
-            total += s if seg.kind == "inlet" else -s
-        return total
+        return self._flux_sum({"inlet": 1.0, "outlet_velocity": -1.0})
 
     def outlet_segments(self) -> list[Segment]:
         return [s for s in self.segments

@@ -89,8 +89,8 @@ def parse_problem_file(path: str | Path) -> tuple[TopoProblem, int, tuple]:
 
 
 def export_density(eps: DensityField, csv_path: str | Path,
-                   pgm_path: str | Path | None = None) -> None:
-    """Write the density field as CSV (and optionally an 8-bit PGM image).
+                   pgm_path: str | Path) -> None:
+    """Write the density field as CSV and as an 8-bit PGM image.
 
     Rows run top-to-bottom (first row = top of the domain), columns
     left-to-right; pixel value 0 = solid (black), 255 = fluid (white).
@@ -98,8 +98,6 @@ def export_density(eps: DensityField, csv_path: str | Path,
     arr = eps.eps
     nx, ny = arr.shape
     tables.write_csv(csv_path, None, arr[:, ::-1].T)
-    if pgm_path is None:
-        return
     gray = np.clip(np.rint(arr * 255.0), 0, 255).astype(int)
     with open(pgm_path, "w") as fh:
         fh.write(f"P2\n{nx} {ny}\n255\n")

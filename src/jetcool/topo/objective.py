@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import InvalidInputError, SolverError
+from ..errors import SolverError
 from .grid import DensityField
 from .problem import TopoProblem
 from .solver import FlowSolution
@@ -29,22 +29,16 @@ def _dissipation_parts(problem: TopoProblem, eps: DensityField,
     drag = 0.5 * float(np.sum(alpha_face * x_all ** 2 * op.face_area))
     gx = op.grad_op @ x_all
     viscous = 0.5 * problem.mu * float(np.sum(op.grad_w * gx ** 2))
-    fx, fy = problem.body_force
-    f_vec = np.where(op.is_u_face, fx, fy)
-    work = float(np.sum(f_vec * x_all * op.face_area))
-    return drag + viscous - work, alpha_face, gx, f_vec
+    return drag + viscous, alpha_face, gx
 
 
 def objective(problem: TopoProblem, eps: DensityField,
               solution: FlowSolution) -> ObjectiveValue:
     """J = (1-beta) * lambda1 * J2 + beta * lambda2 * J1.
 
-    J1 = 1/2 int alpha |u|^2 + mu/2 int grad(u):grad(u) - int f.u;
+    J1 = 1/2 int alpha |u|^2 + mu/2 int grad(u):grad(u);
     J2 = 1/2 sum_i (q_i - mean(q))^2 over the outlet fluxes q_i.
     """
-    op = solution.op
-    if op.outlet_op.shape[0] == 0:
-        raise InvalidInputError("problem has no outlet segments")
     j1, *_ = _dissipation_parts(problem, eps, solution)
     q = solution.outlet_flows()
     j2 = 0.5 * float(np.sum((q - q.mean()) ** 2))
@@ -72,13 +66,12 @@ def gradient(problem: TopoProblem, eps: DensityField,
             f"(residual {solution.residual:g})")
     lam1, lam2 = problem.weights()
     beta = problem.beta
-    _, alpha_face, gx, f_vec = _dissipation_parts(problem, eps, solution)
+    _, alpha_face, gx = _dissipation_parts(problem, eps, solution)
     x_all = solution.x_all
 
     # dJ/dx_all
     d_j1 = (alpha_face * x_all * op.face_area
-            + problem.mu * (op.grad_op.T @ (op.grad_w * gx))
-            - f_vec * op.face_area)
+            + problem.mu * (op.grad_op.T @ (op.grad_w * gx)))
     q = solution.outlet_flows()
     d_j2 = op.outlet_op.T @ (q - q.mean())
     d_obj = op.scatter.T @ (beta * lam2 * d_j1 + (1.0 - beta) * lam1 * d_j2)

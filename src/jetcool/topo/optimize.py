@@ -62,7 +62,7 @@ def _project(candidate: np.ndarray, previous: np.ndarray,
 
 
 def optimize(problem: TopoProblem, eps0: DensityField | None = None,
-             max_iters: int = 100, move_limit: float = MOVE_LIMIT,
+             max_iters: int = 100,
              q_schedule: tuple[float, ...] = ()) -> OptimizeResult:
     """Minimize the weighted objective over the density field.
 
@@ -88,14 +88,14 @@ def optimize(problem: TopoProblem, eps0: DensityField | None = None,
     for q in q_schedule or (problem.q,):
         stage = replace(problem, q=q)
         eps, sol, status, warnings = _descend(stage, op, eps, max_iters,
-                                              move_limit, history)
+                                              history)
     return OptimizeResult(eps=DensityField(eps), history=history,
                           status=status, solution=sol,
                           warnings=tuple(warnings))
 
 
 def _descend(problem: TopoProblem, op: StokesOperator, eps0: np.ndarray,
-             max_iters: int, move_limit: float, history: list[HistoryRow]):
+             max_iters: int, history: list[HistoryRow]):
     """One continuation stage from eps0, appending its rows to history;
     returns (eps, solution, status, warnings) of the last accepted iterate."""
     offset = len(history)
@@ -103,7 +103,7 @@ def _descend(problem: TopoProblem, op: StokesOperator, eps0: np.ndarray,
 
     def evaluate(e: np.ndarray):
         field = DensityField(e)
-        sol = op.solve(problem.alpha(e).ravel(), problem.body_force)
+        sol = op.solve(problem.alpha(e).ravel())
         return field, sol, objective(problem, field, sol)
 
     field, sol, val = evaluate(eps)
@@ -119,11 +119,11 @@ def _descend(problem: TopoProblem, op: StokesOperator, eps0: np.ndarray,
         if g_max == 0.0:
             status = "converged"
             break
-        step = move_limit / g_max
+        step = MOVE_LIMIT / g_max
         accepted = False
         for _ in range(BACKTRACK_TRIES):
             cand = _project(eps - step * grad, eps,
-                            problem.volume_fraction, move_limit)
+                            problem.volume_fraction, MOVE_LIMIT)
             if np.array_equal(cand, eps):
                 step *= 0.5
                 continue

@@ -69,13 +69,10 @@ class TopoProblem:
     beta: float = 0.5
     volume_fraction: float = 1.0
     q: float = 0.01
-    alpha_max: float | None = None
-    alpha_min: float | None = None
     lambda1: float | None = None
     lambda2: float | None = None
     u_ref: float | None = None
     alpha_assignment: str = "fluid"   # "fluid" (consistent) or "literal" (as printed)
-    body_force: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
         check(0.0 <= self.beta <= 1.0, "beta must be in [0, 1], got {}",
@@ -101,8 +98,6 @@ class TopoProblem:
         """(solid-side, fluid-side) inverse permeability actually applied."""
         a_max, a_min = default_alpha_bounds(
             self.mu, max(self.grid.lx, self.grid.ly))
-        a_max = self.alpha_max if self.alpha_max is not None else a_max
-        a_min = self.alpha_min if self.alpha_min is not None else a_min
         if self.alpha_assignment == "literal":
             return a_min, a_max
         return a_max, a_min

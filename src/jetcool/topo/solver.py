@@ -37,7 +37,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from ..errors import SolverError, check
 from ..props import FluidProps
-from .grid import KINDS, SIDES, DensityField, Grid2D
+from .grid import KINDS, OUTWARD, SIDES, DensityField, Grid2D
 from .problem import TopoProblem
 
 _RESIDUAL_TOL = 1e-10
@@ -100,10 +100,10 @@ def _side_faces(grid: Grid2D, side: str) -> tuple[np.ndarray, float]:
     """Face numbers along one side and the sign of its outward normal."""
     nx, ny = grid.nx, grid.ny
     if side in ("left", "right"):
-        i, sign = (0, -1.0) if side == "left" else (nx, 1.0)
-        return i * ny + np.arange(ny), sign
-    j, sign = (0, -1.0) if side == "bottom" else (ny, 1.0)
-    return (nx + 1) * ny + np.arange(nx) * (ny + 1) + j, sign
+        i = 0 if side == "left" else nx
+        return i * ny + np.arange(ny), OUTWARD[side]
+    j = 0 if side == "bottom" else ny
+    return (nx + 1) * ny + np.arange(nx) * (ny + 1) + j, OUTWARD[side]
 
 
 class _BandLayout:
@@ -243,8 +243,7 @@ class StokesOperator:
             full @ np.r_[self.dirichlet_vec, np.zeros(nc)])
         self.scatter = select[:self.n_faces]
         self.n_unknowns = select.shape[1]
-        self.n_u = int(free[:nfu].sum())
-        self.n_vel = self.p_offset = self.n_unknowns - nc
+        self.p_offset = self.n_unknowns - nc
         band = _BandLayout(self.k_base)
         self.band = band if band.fits() else None
 
@@ -255,7 +254,6 @@ class StokesOperator:
         self.face_area = dx * dy * np.r_[
             np.kron(_trapezoid(nx), np.ones(ny)),
             np.kron(np.ones(nx), _trapezoid(ny))]
-        self.is_u_face = np.arange(self.n_faces) < nfu
 
         # Velocity-gradient quadrature Q = sum_k w_k (G x_all)_k^2: du/dx and
         # dv/dy at cell centers, du/dy and dv/dx at cell corners except where
@@ -306,30 +304,20 @@ class StokesOperator:
               "alpha_cells must be finite and >= 0, got {}", alpha)
         return self.alpha_avg @ alpha
 
-    def rhs(self, body_force=(0.0, 0.0)) -> np.ndarray:
-        b = self.rhs_base.copy()
-        fx, fy = body_force
-        if fx != 0.0 or fy != 0.0:
-            b[:self.n_u] += fx
-            b[self.n_u:self.n_vel] += fy
-        return b
-
-    def solve(self, alpha_cells: np.ndarray,
-              body_force=(0.0, 0.0)) -> "FlowSolution":
+    def solve(self, alpha_cells: np.ndarray) -> "FlowSolution":
         drag = self.drag(alpha_cells)
-        b = self.rhs(body_force)
         lu = factor(self, drag)
-        x = lu.solve(b)
+        x = lu.solve(self.rhs_base)
         if not np.all(np.isfinite(x)):
             raise SolverError("non-finite solution (singular or ill-posed "
                               "boundary conditions)")
-        b_norm = float(np.linalg.norm(b))
-        res = float(np.linalg.norm(self.k_base @ x + drag * x - b))
+        b_norm = float(np.linalg.norm(self.rhs_base))
+        res = float(np.linalg.norm(self.k_base @ x + drag * x - self.rhs_base))
         residual = res / b_norm if b_norm > 0 else res
         if residual > _RESIDUAL_TOL:
             raise SolverError(f"direct solve residual {residual:g} exceeds "
                               f"{_RESIDUAL_TOL:g}")
-        return FlowSolution(self, x, lu, residual, body_force)
+        return FlowSolution(self, x, lu, residual)
 
 
 @dataclass
@@ -340,7 +328,6 @@ class FlowSolution:
     x: np.ndarray
     lu: object               # BandLU or SuperLU, from factor(); serves the adjoint
     residual: float
-    body_force: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
         g = self.op.grid
@@ -370,16 +357,11 @@ class FlowSolution:
 
 
 def solve_flow(grid: Grid2D, eps: DensityField, fluid: FluidProps,
-               q: float = 0.01, alpha_max: float | None = None,
-               alpha_min: float | None = None,
-               alpha_assignment: str = "fluid",
-               body_force: tuple[float, float] = (0.0, 0.0)) -> FlowSolution:
+               q: float = 0.01) -> FlowSolution:
     """One-off Brinkman flow solve (builds the operator; for repeated solves
     on the same grid use StokesOperator or TopoProblem/optimize)."""
     check(eps.eps.shape == (grid.nx, grid.ny), "eps shape {} != grid cells {}",
           eps.eps.shape, (grid.nx, grid.ny))
-    problem = TopoProblem(grid=grid, fluid=fluid, q=q, alpha_max=alpha_max,
-                          alpha_min=alpha_min,
-                          alpha_assignment=alpha_assignment)
+    problem = TopoProblem(grid=grid, fluid=fluid, q=q)
     op = StokesOperator(grid, fluid.viscosity)
-    return op.solve(problem.alpha(eps.eps), body_force)
+    return op.solve(problem.alpha(eps.eps))

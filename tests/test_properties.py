@@ -4,6 +4,8 @@ Stokes-Brinkman solver.
 - ``evaluate_design`` on an array-valued ``CoolerArray`` equals the
   one-design call row by row, warnings included;
 - dp(V) and V*dp(V) of the correlation chain are strictly increasing;
+- tiling a design k x k times at k^2 times the flow keeps R* and dp and
+  divides R_th by k^2;
 - every flow solved by ``sweep`` meets its pressure or pump-power target
   to ``roots.REL_TOL``;
 - on random densities, ``StokesOperator.solve`` and its transposed solve
@@ -82,6 +84,20 @@ def test_dp_and_pump_power_increase_with_flow(design, factor):
 
 
 @SETTINGS
+@given(designs, st.integers(2, 8))
+def test_tiling_keeps_r_star_and_dp(design, k):
+    n, a, do, h, t, flow = design
+    base, tiled = (
+        evaluate_design(array_from_ratios(m * CHIP, m * n, a, do, h, t, TC),
+                        water(), silicon(),
+                        OperatingPoint(flow_total=m * m * flow))
+        for m in (1, k))
+    assert tiled.r_star == pytest.approx(base.r_star, rel=1e-12, abs=0.0)
+    assert tiled.dp == pytest.approx(base.dp, rel=1e-12, abs=0.0)
+    assert tiled.r_th * k * k == pytest.approx(base.r_th, rel=1e-12, abs=0.0)
+
+
+@SETTINGS
 @given(st.lists(designs, min_size=1, max_size=6),
        st.sampled_from([ConstraintKind.CONST_PRESSURE,
                         ConstraintKind.CONST_PUMP]),
@@ -147,7 +163,7 @@ def test_solves_equal_a_superlu_solve(path, field, seed):
     alpha = problem.alpha(eps)
     sol = op.solve(alpha)
     ref = spla.splu(op.matrix(alpha).tocsc())
-    assert relative_error(sol.x, ref.solve(op.rhs())) <= 1e-10
+    assert relative_error(sol.x, ref.solve(op.rhs_base)) <= 1e-10
     rhs = np.random.default_rng(seed).standard_normal(op.n_unknowns)
     assert relative_error(sol.lu.solve(rhs, trans="T"),
                           ref.solve(rhs, trans="T")) <= 1e-10
