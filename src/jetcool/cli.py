@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
+import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -88,13 +91,7 @@ def cmd_predict(args) -> int:
     breakdown = performance.pressure_decomposition(
         array.cell, fluid, report.flow_per_nozzle)
     payload = _report_dict(report)
-    payload["pressure_breakdown_Pa"] = {
-        "dp_in_nozzle": breakdown.dp_in_nozzle,
-        "dp_out_nozzle": breakdown.dp_out_nozzle,
-        "dp_channel": breakdown.dp_channel,
-        "dp_jet_residual": breakdown.dp_jet_residual,
-        "warnings": list(breakdown.warnings),
-    }
+    payload["pressure_breakdown_Pa"] = dataclasses.asdict(breakdown)
     payload["inputs"] = {
         "chip_side_mm": array.chip_side * 1e3, "n": array.n,
         "di_over_l": array.cell.di_over_L, "do_over_l": array.cell.do_over_L,
@@ -136,38 +133,44 @@ def _build_space(cp, name: str) -> explorer.DesignSpace:
 def _build_mode(cp) -> explorer.ConstraintMode:
     sec = config.section(cp, "constraint")
     mode = sec.get("mode", "const_flow")
-    kinds = {
-        "const_flow": (explorer.ConstraintKind.CONST_FLOW, "value_mlpm",
-                       M3S_PER_MLPM),
-        "const_pressure": (explorer.ConstraintKind.CONST_PRESSURE, "value_pa", 1.0),
-        "const_pump": (explorer.ConstraintKind.CONST_PUMP, "value_w", 1.0),
-    }
-    if mode not in kinds:
+    keys = {"const_flow": ("value_mlpm", M3S_PER_MLPM),
+            "const_pressure": ("value_pa", 1.0), "const_pump": ("value_w", 1.0)}
+    if mode not in keys:
         raise ConfigError(f"[constraint] unknown mode {mode!r}")
-    kind, key, scale = kinds[mode]
-    return explorer.ConstraintMode(kind, config.value(sec, key, scale=scale))
+    key, scale = keys[mode]
+    return explorer.ConstraintMode(explorer.ConstraintKind(mode),
+                                   config.value(sec, key, scale=scale))
 
 
-def _write_sweep_csv(rows, path: Path) -> None:
-    """One line per row; infeasible rows (flow 0) leave the metrics empty."""
-    table = []
-    for row in rows:
-        r = row.report
-        results = ((r.re, r.nu_f, r.nu_j, r.htc, r.r_th, r.r_star, r.dp,
-                    r.w_p, r.cop, row.status, r.warnings) if r
-                   else ("",) * 9 + (row.status, ""))
-        table.append((row.n, row.di_over_L, row.do_over_L, row.H_over_L,
-                      row.t_over_L, row.flow / M3S_PER_MLPM) + results)
-    tables.write_csv(path, SWEEP_HEADER, table)
+def _write_sweep_csv(result: explorer.SweepResult, path: Path) -> None:
+    """One line per design; infeasible designs (flow 0) leave the metrics
+    empty."""
+    r = result.report
+    feasible = zip(*(m.tolist() for m in (r.re, r.nu_f, r.nu_j, r.htc, r.r_th,
+                                          r.r_star, r.dp, r.w_p, r.cop)),
+                   itertools.repeat("ok"), r.warnings)
+    infeasible = ("",) * 9 + ("infeasible", "")
+    flow = (result.flow / M3S_PER_MLPM).tolist()
+    tables.write_csv(path, SWEEP_HEADER, (
+        (*design, v, *(next(feasible) if ok else infeasible))
+        for design, v, ok in zip(result.designs, flow, result.ok.tolist())))
 
 
 def cmd_explore(args) -> int:
     cp = config.read(args.config)
-    rows = explorer.sweep(_build_space(cp, "sweep"), _build_mode(cp))
+    result = explorer.sweep(_build_space(cp, "sweep"), _build_mode(cp))
     out = _out_dir(args)
-    _write_sweep_csv(rows, out / "sweep.csv")
-    print(f"wrote {len(rows)} rows to {out / 'sweep.csv'}")
+    _write_sweep_csv(result, out / "sweep.csv")
+    print(f"wrote {len(result.designs)} rows to {out / 'sweep.csv'}")
     return EXIT_OK
+
+
+def _finite(text: str) -> bool:
+    """Whether a table cell reads as a finite number."""
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
 
 
 def cmd_pareto(args) -> int:
@@ -186,7 +189,16 @@ def cmd_pareto(args) -> int:
     else:
         raise ConfigError(f"{src}: need columns r_th_K_W/wp_W or r_th/w_p")
     # infeasible sweep rows carry empty metrics
-    points = [(float(row[rk]), float(row[wk])) for row in rows if row[rk]]
+    try:
+        points = [(float(row[rk]), float(row[wk])) for row in rows if row[rk]]
+    except ValueError:
+        points = None
+    if points is None or not all(map(math.isfinite,
+                                     itertools.chain.from_iterable(points))):
+        k, col = next((k, col) for k, row in enumerate(rows, 1) if row[rk]
+                      for col in (rk, wk) if not _finite(row[col]))
+        raise ConfigError(f"{src}: data row {k}, column {col}: "
+                          f"{rows[k - 1][col]!r} is not a finite number")
     if not points:
         raise ConfigError(f"{src}: no usable points")
     front = explorer.pareto_front(points)
@@ -327,13 +339,19 @@ def cmd_reduce(args) -> int:
                            ("row", "col", "reading_on", "reading_off"))
     if not rows:
         raise ConfigError(f"{args.config}: empty dataset")
-    nrow = max(int(r["row"]) for r in rows) + 1
-    ncol = max(int(r["col"]) for r in rows) + 1
-    on = np.zeros((nrow, ncol))
-    off = np.zeros((nrow, ncol))
-    for r in rows:
-        on[int(r["row"]), int(r["col"])] = float(r["reading_on"])
-        off[int(r["row"]), int(r["col"])] = float(r["reading_off"])
+    # each (row, col) from (0, 0) to the largest must be given exactly once
+    cells = np.array([(int(r["row"]), int(r["col"])) for r in rows])
+    bad = cells[(cells < 0).any(axis=1)]
+    if not bad.size:
+        count = np.zeros(cells.max(axis=0) + 1, dtype=int)
+        np.add.at(count, tuple(cells.T), 1)
+        bad = np.argwhere(count != 1)
+    if bad.size:
+        raise ConfigError(f"{args.config}: sensor cell (row {bad[0, 0]}, col "
+                          f"{bad[0, 1]}) is missing, repeated or negative")
+    on, off = np.zeros((2, *count.shape))
+    on[tuple(cells.T)] = [float(r["reading_on"]) for r in rows]
+    off[tuple(cells.T)] = [float(r["reading_off"]) for r in rows]
 
     model = config.value(head, "model", "diode", cast=str)
     if model == "diode":
@@ -372,9 +390,7 @@ def cmd_gci(args) -> int:
         f1_fine=config.value(sec, "f1"), f2=config.value(sec, "f2"),
         f3_coarse=config.value(sec, "f3"), r=config.value(sec, "r", 2.0),
         fs=config.value(sec, "fs", metrology.GCI_SAFETY_FACTOR))
-    payload = {"p": result.p, "gci12": result.gci12, "gci23": result.gci23,
-               "asymptotic_ratio": result.asymptotic_ratio,
-               "in_asymptotic_range": result.in_asymptotic_range}
+    payload = result._asdict()
     _write_payload(args, payload, "gci")
     for key, val in payload.items():
         print(f"{key:>20}  {tables.fmt(val)}")
@@ -503,8 +519,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidInputError, FileNotFoundError, configparser.Error,
-            ValueError) as exc:
+    except (InvalidInputError, OSError, configparser.Error, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InfeasibleError as exc:

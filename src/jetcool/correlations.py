@@ -313,7 +313,7 @@ class HotspotHtcModel:
     pitch_mm: float = 1.0
 
     def evaluate(self, d_mm: float, m_nz_mlpm: float) -> float:
-        if d_mm <= 0 or m_nz_mlpm < 0:
+        if not (d_mm > 0 and m_nz_mlpm >= 0):
             raise InvalidInputError("d must be > 0 and m_nz >= 0")
         return (self.c * d_mm ** self.d_exp
                 * m_nz_mlpm ** (self.m_exp + self.m_exp_d * d_mm))
@@ -324,10 +324,10 @@ class HotspotHtcModel:
         Only defined while the flow exponent stays positive (d below
         -m_exp/m_exp_d); beyond that more flow does not raise htc.
         """
-        if d_mm <= 0 or htc <= 0:
+        if not (d_mm > 0 and htc > 0):
             raise InvalidInputError("d and htc must be > 0")
         exponent = self.m_exp + self.m_exp_d * d_mm
-        if exponent <= 0:
+        if not exponent > 0:
             raise InvalidInputError(
                 f"flow exponent {exponent:g} <= 0 at d = {d_mm} mm")
         return (htc / (self.c * d_mm ** self.d_exp)) ** (1.0 / exponent)
@@ -347,13 +347,13 @@ class NozzlePressureModel:
     pitch_mm: float = 1.0
 
     def evaluate(self, d_mm: float, m_nz_mlpm: float) -> float:
-        if d_mm <= 0 or m_nz_mlpm < 0:
+        if not (d_mm > 0 and m_nz_mlpm >= 0):
             raise InvalidInputError("d must be > 0 and m_nz >= 0")
         return self.c * d_mm ** self.d_exp * m_nz_mlpm ** self.m_exp
 
     def flow_for_dp(self, d_mm: float, dp: float) -> float:
         """Invert the fit: per-nozzle flow driven through diameter d at dp."""
-        if d_mm <= 0 or dp < 0:
+        if not (d_mm > 0 and dp >= 0):
             raise InvalidInputError("d must be > 0 and dp >= 0")
         return (dp / (self.c * d_mm ** self.d_exp)) ** (1.0 / self.m_exp)
 

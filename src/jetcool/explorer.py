@@ -3,6 +3,7 @@ hotspot flow scaling and hotspot-targeted nozzle-array synthesis."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -35,14 +36,12 @@ class DesignSpace:
     do_over_L: tuple[float, ...] | None = None  # defaults to d_i/L per design
     heated_fraction: float = HEATED_FRACTION_DEFAULT
 
-    def designs(self):
-        dos = self.do_over_L
-        for n in self.n_values:
-            for a in self.di_over_L:
-                for do in (dos if dos is not None else (a,)):
-                    for h in self.H_over_L:
-                        for t in self.t_over_L:
-                            yield n, a, do, h, t
+    def designs(self) -> list[tuple[int, float, float, float, float]]:
+        """Every (n, d_i/L, d_o/L, H/L, t/L), the last varying fastest."""
+        dos = (None,) if self.do_over_L is None else self.do_over_L
+        return [(n, a, a if do is None else do, h, t) for n, a, do, h, t
+                in itertools.product(self.n_values, self.di_over_L, dos,
+                                     self.H_over_L, self.t_over_L)]
 
     def build(self, n: int, a: float, do: float, h: float,
               t: float) -> CoolerArray:
@@ -68,30 +67,28 @@ class ConstraintMode:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    n: int
-    di_over_L: float
-    do_over_L: float
-    H_over_L: float
-    t_over_L: float
-    flow: float                       # m3/s actually evaluated (0 if infeasible)
-    report: PerformanceReport | None
-    status: str                       # "ok" | "infeasible"
+class SweepResult:
+    """A sweep as columns, one entry per design in enumeration order."""
+
+    designs: list[tuple[int, float, float, float, float]]  # n, d_i/L ... t/L
+    flow: np.ndarray            # m3/s evaluated (0 where infeasible)
+    ok: np.ndarray              # False where the target is out of reach
+    report: PerformanceReport   # array-valued, over the feasible designs
 
 
-def sweep(space: DesignSpace, mode: ConstraintMode) -> list[SweepRow]:
-    """Evaluate every design under the constraint.
+def sweep(space: DesignSpace, mode: ConstraintMode) -> SweepResult:
+    """Evaluate every design of the space under the constraint, as columns.
 
-    All designs are evaluated as arrays in one ``evaluate_design`` call.
     const_flow evaluates directly; const_pressure / const_pump invert the
     monotone dp(V) / V*dp(V) maps (``dp_curve``) with one bisection over all
-    designs, to ``roots.REL_TOL`` of the target. Targets outside the
-    achievable range flag the row infeasible instead of aborting the sweep.
-    Row order follows the design-space enumeration order.
+    designs, to ``roots.REL_TOL`` of the target. A target outside the
+    searched flow window marks its design infeasible (``ok`` False, flow 0).
+    The feasible designs are evaluated in one ``evaluate_design`` call:
+    ``report`` holds, in order, an entry for each k where ``ok[k]``.
     """
-    designs = list(space.designs())
+    designs = space.designs()
     if not designs:
-        return []
+        raise InvalidInputError("the design space is empty")
     columns = [np.array(c) for c in zip(*designs)]
     if mode.kind is ConstraintKind.CONST_FLOW:
         flow = np.full(len(designs), mode.value)
@@ -104,10 +101,7 @@ def sweep(space: DesignSpace, mode: ConstraintMode) -> list[SweepRow]:
     report = evaluate_design(
         space.build(*(c[ok] for c in columns)), space.fluid, space.solid,
         OperatingPoint(flow_total=flow[ok]))
-    reports = iter(report.rows())
-    return [SweepRow(*design, v, next(reports), "ok") if good
-            else SweepRow(*design, 0.0, None, "infeasible")
-            for design, v, good in zip(designs, flow.tolist(), ok.tolist())]
+    return SweepResult(designs, np.where(ok, flow, 0.0), ok, report)
 
 
 def pareto_front(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -118,19 +112,13 @@ def pareto_front(points: Sequence[tuple[float, float]]) -> list[tuple[float, flo
     """
     if not points:
         raise InvalidInputError("empty point set")
-    order = sorted(range(len(points)),
-                   key=lambda i: (points[i][1], points[i][0], i))
     front: list[tuple[float, float]] = []
     best_r = math.inf
-    seen: set[tuple[float, float]] = set()
-    for i in order:
-        r, w = points[i]
-        if (r, w) in seen:
-            continue
+    # a stable sort: equal points stay in input order
+    for r, w in sorted(points, key=lambda p: (p[1], p[0])):
         if r < best_r:
             front.append((r, w))
             best_r = r
-            seen.add((r, w))
     return front
 
 
@@ -347,19 +335,13 @@ def hotspot_synthesize(power_map: PowerMap, flow_total: float,
             lambda s: flow_error(math.exp(s)), math.log(dp_grid[k]),
             math.log(dp_grid[k + 1]), resid[k], 1e-9 * flow_total_mlpm))
 
-    d_grid = np.zeros_like(density)
-    m_grid = np.zeros_like(density)
-    htc_grid = np.zeros_like(density)
-    infeasible = []
-    warns = []
-    for (i, j), (d, m_nz, status) in zip(np.argwhere(active).tolist(),
-                                         cell_states(dp_star)):
-        d_grid[i, j] = d
-        m_grid[i, j] = m_nz
-        htc_grid[i, j] = htc_model.evaluate(d, m_nz)
-        if status != "ok":
-            infeasible.append((i, j))
-            warns.append(f"htc_{status}:{i},{j}")
+    d, m_nz, status = zip(*cell_states(dp_star))
+    d_grid, m_grid, htc_grid = np.zeros((3, *density.shape))
+    d_grid[active], m_grid[active] = d, m_nz
+    htc_grid[active] = list(map(htc_model.evaluate, d, m_nz))
+    flagged = [(i, j, s) for (i, j), s
+               in zip(np.argwhere(active).tolist(), status) if s != "ok"]
     return NozzlePlan(d_mm=d_grid, m_nz_mlpm=m_grid, htc=htc_grid, dp=dp_star,
                       flow_total_mlpm=float(m_grid.sum()),
-                      infeasible_cells=tuple(infeasible), warnings=tuple(warns))
+                      infeasible_cells=tuple((i, j) for i, j, _ in flagged),
+                      warnings=tuple(f"htc_{s}:{i},{j}" for i, j, s in flagged))

@@ -11,7 +11,7 @@ arrays of coolants (an array-valued ``FluidProps``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -56,15 +56,6 @@ class PerformanceReport:
     v_nozzle: float     # mean nozzle velocity m/s
     flow_per_nozzle: float  # m3/s
     warnings: tuple[str, ...] = ()
-
-    def rows(self) -> list[PerformanceReport]:
-        """One float-valued report per design of an array-valued report."""
-        names = [f.name for f in fields(self)][:-1]
-        shape = (len(self.warnings),)
-        columns = [np.broadcast_to(getattr(self, n), shape).tolist()
-                   for n in names]
-        return [PerformanceReport(*vals, warnings=w)
-                for *vals, w in zip(*columns, self.warnings)]
 
 
 def evaluate_design(array: CoolerArray, fluid: pr.FluidProps,

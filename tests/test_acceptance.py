@@ -166,8 +166,9 @@ def test_09_saturation_with_nozzle_count():
     space = DesignSpace(n_values=(1, 2, 4, 8, 16, 32, 64), di_over_L=(0.3,),
                         H_over_L=(0.3,), t_over_L=(0.1,), chip_side=8e-3,
                         t_c=0.2e-3, fluid=water(), solid=silicon())
-    rows = sweep(space, ConstraintMode(ConstraintKind.CONST_PUMP, 0.2))
-    r_th = {r.n: r.report.r_th for r in rows if r.report is not None}
+    res = sweep(space, ConstraintMode(ConstraintKind.CONST_PUMP, 0.2))
+    feasible = [d[0] for d, ok in zip(res.designs, res.ok) if ok]
+    r_th = dict(zip(feasible, res.report.r_th.tolist()))
     assert r_th[16] < r_th[2]
     assert abs(r_th[64] - r_th[32]) < abs(r_th[4] - r_th[2])
     report(9, "saturation", " ".join(

@@ -135,6 +135,33 @@ class TestExploreParetoCop:
         # values round-trip through 10-significant-digit CSV formatting
         np.testing.assert_allclose(np.array(got), np.array(brute), rtol=1e-9)
 
+    @pytest.mark.parametrize("cells, where", [
+        ("0.1,0.2\nnan,0.1\n", "data row 2, column r_th: 'nan'"),
+        ("0.1,0.2\n0.2,inf\n", "data row 2, column w_p: 'inf'"),
+        ("x,0.2\n0.2,0.1\n", "data row 1, column r_th: 'x'"),
+        ("0.1,\n0.2,0.1\n", "data row 1, column w_p: ''"),
+    ])
+    def test_pareto_bad_point_exit_2(self, tmp_path, capsys, cells, where):
+        src = write(tmp_path, "pts.csv", "r_th,w_p\n" + cells)
+        assert run(["pareto", "--input", src,
+                    "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {src}: {where} is not a finite number\n"
+        assert not (tmp_path / "out" / "pareto.csv").exists()
+
+    def test_pareto_skips_infeasible_sweep_rows(self, tmp_path, capsys):
+        src = write(tmp_path, "sweep.csv", "r_th_K_W,wp_W,status\n"
+                    "0.1,0.2,ok\n,,infeasible\n0.2,0.1,ok\n")
+        assert run(["pareto", "--input", src,
+                    "--out", str(tmp_path / "out")]) == 0
+        assert "2 non-dominated of 2 points" in capsys.readouterr().out
+
+    def test_pareto_input_directory_exit_2(self, tmp_path, capsys):
+        assert run(["pareto", "--input", str(tmp_path),
+                    "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_cop_grid_dimensions(self, tmp_path):
         cfg = write(tmp_path, "c.ini", PREDICT_INI + """
 [cop]
@@ -551,6 +578,32 @@ class TestReduceGci:
         cfg = write(tmp_path, "ds.csv", REDUCE_CSV + "1,2,0.57\n")
         assert run(["reduce", "--config", cfg,
                     "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("cells, where", [
+        ("0,0,0.5845,0.6\n0,1,0.56875,0.6\n1,0,0.57875,0.6\n",
+         "(row 1, col 1)"),
+        (REDUCE_CSV.split("reading_off\n")[1] + "1,1,0.5,0.6\n",
+         "(row 1, col 1)"),
+        (REDUCE_CSV.split("reading_off\n")[1] + "-1,0,0.5,0.6\n",
+         "(row -1, col 0)"),
+        ("0,0,0.5845,0.6\n0,-1,0.5,0.6\n", "(row 0, col -1)"),
+    ], ids=["missing", "repeated", "negative_row", "negative_col"])
+    def test_bad_sensor_grid_exit_2(self, tmp_path, capsys, cells, where):
+        head = REDUCE_CSV.split("reading_off\n")[0] + "reading_off\n"
+        cfg = write(tmp_path, "ds.csv", head + cells)
+        assert run(["reduce", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: sensor cell {where} ")
+        assert not (tmp_path / "o" / "reduction.json").exists()
+
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "g.ini",
+                    "[gci]\nf1 = 0.85\nf2 = 0.9\nf3 = 1.0\n")
+        taken = write(tmp_path, "taken", "")
+        assert run(["gci", "--config", cfg, "--out", taken]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_gci_report(self, tmp_path):
         cfg = write(tmp_path, "g.ini",

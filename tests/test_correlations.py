@@ -261,6 +261,17 @@ class TestHotspotFits:
         htc = model.evaluate(0.25, 9.0)
         assert model.flow_for_htc(0.25, htc) == pytest.approx(9.0, rel=1e-12)
 
+    @pytest.mark.parametrize("call", [
+        lambda: HotspotHtcModel().evaluate(np.nan, 1.0),
+        lambda: HotspotHtcModel().flow_for_htc(np.nan, 5e4),
+        lambda: NozzlePressureModel().evaluate(0.4, np.nan),
+        lambda: NozzlePressureModel().flow_for_dp(0.4, np.nan),
+    ], ids=["htc_evaluate", "htc_flow_for_htc", "dp_evaluate",
+            "dp_flow_for_dp"])
+    def test_nan_rejected(self, call):
+        with pytest.raises(InvalidInputError):
+            call()
+
     def test_fit_recovers_constants(self):
         model = HotspotHtcModel()
         points = [(d, m, model.evaluate(d, m))

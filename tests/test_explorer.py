@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,41 +23,42 @@ def space(n_values=(4,), di=(0.3,), h=(0.3,), t=(0.1,)):
 
 class TestSweep:
     def test_degenerate_matches_evaluate(self):
-        rows = sweep(space(), ConstraintMode(ConstraintKind.CONST_FLOW,
-                                             600 * MLPM))
-        assert len(rows) == 1
+        res = sweep(space(), ConstraintMode(ConstraintKind.CONST_FLOW,
+                                            600 * MLPM))
+        assert len(res.designs) == 1
         direct = evaluate_design(
-            rows[0].report and space().build(4, 0.3, 0.3, 0.3, 0.1) or None,
+            res.report and space().build(4, 0.3, 0.3, 0.3, 0.1) or None,
             water(), silicon(), OperatingPoint(flow_total=600 * MLPM))
-        assert rows[0].report.r_th == pytest.approx(direct.r_th, rel=1e-12)
-        assert rows[0].report.dp == pytest.approx(direct.dp, rel=1e-12)
+        assert res.report.r_th[0] == pytest.approx(direct.r_th, rel=1e-12)
+        assert res.report.dp[0] == pytest.approx(direct.dp, rel=1e-12)
 
     def test_const_pressure_inverse_consistency(self):
-        flow_rows = sweep(space(), ConstraintMode(ConstraintKind.CONST_FLOW,
-                                                  600 * MLPM))
-        dp = flow_rows[0].report.dp
+        flow_res = sweep(space(), ConstraintMode(ConstraintKind.CONST_FLOW,
+                                                 600 * MLPM))
+        dp = flow_res.report.dp[0]
         back = sweep(space(), ConstraintMode(ConstraintKind.CONST_PRESSURE, dp))
-        assert back[0].flow == pytest.approx(600 * MLPM, rel=1e-8)
-        assert back[0].report.dp == pytest.approx(dp, rel=1e-9)
+        assert back.flow[0] == pytest.approx(600 * MLPM, rel=1e-8)
+        assert back.report.dp[0] == pytest.approx(dp, rel=1e-9)
 
     def test_const_pump_inverse_consistency(self):
-        flow_rows = sweep(space(), ConstraintMode(ConstraintKind.CONST_FLOW,
-                                                  600 * MLPM))
-        wp = flow_rows[0].report.w_p
+        flow_res = sweep(space(), ConstraintMode(ConstraintKind.CONST_FLOW,
+                                                 600 * MLPM))
+        wp = flow_res.report.w_p[0]
         back = sweep(space(), ConstraintMode(ConstraintKind.CONST_PUMP, wp))
-        assert back[0].report.w_p == pytest.approx(wp, rel=1e-9)
+        assert back.report.w_p[0] == pytest.approx(wp, rel=1e-9)
 
     def test_row_order_follows_enumeration(self):
         sp = space(n_values=(2, 4), di=(0.2, 0.3))
-        rows = sweep(sp, ConstraintMode(ConstraintKind.CONST_FLOW, 600 * MLPM))
-        assert [(r.n, r.di_over_L) for r in rows] == [
+        res = sweep(sp, ConstraintMode(ConstraintKind.CONST_FLOW, 600 * MLPM))
+        assert [(n, a) for n, a, *_ in res.designs] == [
             (2, 0.2), (2, 0.3), (4, 0.2), (4, 0.3)]
 
     def test_saturation_with_nozzle_count(self):
         """Fixed pump power: r_th falls with N then flattens."""
         sp = space(n_values=(1, 2, 4, 8, 16, 32, 64))
-        rows = sweep(sp, ConstraintMode(ConstraintKind.CONST_PUMP, 0.2))
-        r_th = {r.n: r.report.r_th for r in rows if r.report is not None}
+        res = sweep(sp, ConstraintMode(ConstraintKind.CONST_PUMP, 0.2))
+        feasible = [d[0] for d, ok in zip(res.designs, res.ok) if ok]
+        r_th = dict(zip(feasible, res.report.r_th.tolist()))
         assert r_th[16] < r_th[2]
         assert abs(r_th[64] - r_th[32]) < abs(r_th[4] - r_th[2])
 
@@ -81,6 +84,15 @@ class TestPareto:
         for _ in range(25):
             pts = [tuple(p) for p in rng.rand(200, 2)]
             assert pareto_front(pts) == self.brute_force(pts)
+
+    def test_exact_duplicates_keep_first_occurrence(self):
+        # 0.0 == -0.0, so only the sign shows which duplicate was kept
+        front = pareto_front([(2.0, 2.0), (0.0, 3.0), (-0.0, 3.0),
+                              (0.0, 3.0), (2.0, 2.0)])
+        assert front == [(2.0, 2.0), (0.0, 3.0)]
+        assert math.copysign(1.0, front[1][0]) == 1.0
+        front = pareto_front([(-0.0, 3.0), (0.0, 3.0)])
+        assert math.copysign(1.0, front[0][0]) == -1.0
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -107,12 +107,11 @@ def test_solved_flows_meet_their_target(rows, kind, target):
     space = DesignSpace(n_values=n[:2], di_over_L=a[:3], do_over_L=do[:2],
                         H_over_L=h[:2], t_over_L=t, chip_side=CHIP, t_c=TC,
                         fluid=water(), solid=silicon())
-    solved = [r for r in sweep(space, ConstraintMode(kind, target))
-              if r.status == "ok"]
-    assert solved
-    for row in solved:
-        got = row.report.dp if kind is ConstraintKind.CONST_PRESSURE \
-            else row.report.w_p
+    res = sweep(space, ConstraintMode(kind, target))
+    assert res.ok.any()
+    solved = (res.report.dp if kind is ConstraintKind.CONST_PRESSURE
+              else res.report.w_p)
+    for got in solved:
         assert abs(got - target) <= REL_TOL * target
 
 

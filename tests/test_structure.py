@@ -2,7 +2,8 @@
 
 INI files (and the ``#`` header of a data file) are parsed only in
 ``jetcool.config``, CSV and JSON tables only in ``jetcool.tables``, and
-range checks go through ``errors.check`` rather than a private helper.
+range checks go through ``errors.check`` rather than a private helper. A
+sweep stays columns: no per-design row type or ``rows()`` splitter.
 """
 
 from pathlib import Path
@@ -19,6 +20,8 @@ CONFINED = [
     ("np.loadtxt(", "tables.py"),
     ("_require_finite", None),
     ("_parse_dataset_header", None),
+    ("SweepRow", None),
+    ("def rows(", None),
 ]
 
 

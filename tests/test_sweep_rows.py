@@ -52,19 +52,20 @@ def _space() -> DesignSpace:
                        fluid=water(), solid=silicon())
 
 
-def _columns(rows) -> dict:
+def _columns(result) -> dict:
     """Design, flow and report columns; infeasible rows hold nan values."""
-    nan = [np.nan] * len(FIELDS)
+    ok = result.ok
+    values = np.full((ok.size, len(FIELDS)), np.nan)
+    values[ok] = np.column_stack([
+        np.broadcast_to(getattr(result.report, f), ok.sum()) for f in FIELDS])
+    warnings = np.full(ok.size, "", dtype=object)
+    warnings[ok] = [";".join(w) for w in result.report.warnings]
     return {
-        "designs": np.array([(r.n, r.di_over_L, r.do_over_L, r.H_over_L,
-                              r.t_over_L) for r in rows]),
-        "flow": np.array([r.flow for r in rows]),
-        "values": np.array([[getattr(r.report, f) for f in FIELDS]
-                            if r.report is not None else nan for r in rows]),
-        "status": np.array([r.status for r in rows], dtype=str),
-        "warnings": np.array([";".join(r.report.warnings)
-                              if r.report is not None else "" for r in rows],
-                             dtype=str),
+        "designs": np.array(result.designs),
+        "flow": result.flow,
+        "values": values,
+        "status": np.where(ok, "ok", "infeasible"),
+        "warnings": warnings.astype(str),
     }
 
 
