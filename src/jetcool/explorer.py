@@ -112,6 +112,8 @@ def pareto_front(points: Sequence[tuple[float, float]]) -> list[tuple[float, flo
     """
     if not points:
         raise InvalidInputError("empty point set")
+    check(all(map(math.isfinite, itertools.chain.from_iterable(points))),
+          "Pareto points must be finite")
     front: list[tuple[float, float]] = []
     best_r = math.inf
     # a stable sort: equal points stay in input order

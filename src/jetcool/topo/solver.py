@@ -7,11 +7,21 @@ gradient, continuity) assembled once per grid, plus a diagonal Brinkman drag
 alpha(eps) updated per solve; one LU factorization then serves both the
 forward and the (transposed) adjoint solve.
 
-The factorization is a LAPACK band LU with partial pivoting (the saddle-point
-system needs it) under a reverse Cuthill-McKee order (Cuthill & McKee 1969),
-whose order and band positions are computed once per grid. A grid whose band
-would make that LU slower or much larger than sparse LU is factored with
-SuperLU instead; ``factor`` hides which path a grid takes.
+The solve works in the null space of the divergence (Benzi, Golub & Liesen
+2005, "Numerical solution of saddle point problems", Acta Numerica 14, sec.
+6): the velocity on the free faces is u = u_p + Z psi, where Z is the
+discrete curl of a stream function psi on the grid nodes (the staggered-grid
+basis of Amit, Hall & Porsching 1981, J. Comput. Phys. 40) and u_p meets
+continuity. Multiplying the momentum rows by Z^T S^-1 removes the pressure,
+which leaves the reduced matrix R = Z^T S^-1 (A + D) Z, about a third of the
+unknowns of the saddle-point system and a narrower band. The pressure comes
+back from the momentum residual through a cell Poisson matrix factored once
+per grid. R's interior block is factored as a LAPACK band LU under a reverse
+Cuthill-McKee order (Cuthill & McKee 1969) computed once per grid, or with
+SuperLU when its band would be too large; the few stream-function values of
+wall runs between outlets border it and are eliminated through a Schur
+complement. ``factor`` hides all of this behind ``solve(rhs, trans)`` on the
+full velocity-pressure vector.
 
 Boundary treatment: velocity-type faces are Dirichlet; tangential velocity
 at velocity-type boundaries uses linear-reflection ghosts (formal order 2 of
@@ -33,7 +43,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.csgraph import (connected_components,
+                                  reverse_cuthill_mckee)
 
 from ..errors import SolverError, check
 from ..props import FluidProps
@@ -43,15 +54,17 @@ from .problem import TopoProblem
 _RESIDUAL_TOL = 1e-10
 _PRESSURE_KIND = KINDS.index("outlet_pressure")
 
-# A grid takes the band path when both hold (see _BandLayout):
-# - kl^2 / sqrt(n) <= BAND_SCORE_MAX. Per factorization plus two solves on a
-#   2-vCPU AVX-512 VM (scipy 1.17), the band LU was 26 % faster than SuperLU
-#   at 206 (a 40x40 grid) and 6 % slower at 258 (50x50);
-# - at most BAND_FILL_MAX band entries (8 bytes) per stored nonzero of
-#   k_base. SuperLU's factors of the same grids hold 17-27 (12 bytes each),
-#   so the band array stays within about 3x of their size.
-BAND_SCORE_MAX = 230.0
-BAND_FILL_MAX = 80.0
+# The interior block of R takes the band path when both hold (see
+# _BandLayout). Per factorization plus a forward and a transposed solve on a
+# 2-vCPU AVX-512 VM (scipy 1.17), on two-outlet grids from 16x8 to 140x140:
+# - kl^2 / sqrt(n) <= BAND_SCORE_MAX. The band path took 0.34-0.86 of the
+#   SuperLU path's time up to 555 (140x140); larger scores are unmeasured;
+# - at most BAND_FILL_MAX band entries (8 bytes) per stored nonzero of the
+#   block. SuperLU's factors of the same grids hold 2.5-19 (12 bytes each),
+#   so the band array stays within about 2x of their size: 100x100 (46.5,
+#   47 MB against 24 MB) takes the band, 120x120 (55.7, 81 MB) SuperLU.
+BAND_SCORE_MAX = 560.0
+BAND_FILL_MAX = 50.0
 
 
 # 1-D stencils along an axis of n cells and n + 1 faces
@@ -107,45 +120,50 @@ def _side_faces(grid: Grid2D, side: str) -> tuple[np.ndarray, float]:
 
 
 class _BandLayout:
-    """Reverse Cuthill-McKee order of a sparse matrix and where its stored
-    entries fall in LAPACK band storage: A[i, j] of the reordered matrix sits
-    at ab[kl + ku + i - j, j] of a (2 kl + ku + 1, n) Fortran array whose
-    first kl rows are room for the pivoting fill."""
+    """Reverse Cuthill-McKee order of an n x n sparsity pattern, given by the
+    rows and columns of its entries, and where those entries fall in LAPACK
+    band storage: A[i, j] of the reordered matrix sits at ab[kl + ku + i - j,
+    j] of a (2 kl + ku + 1, n) Fortran array whose first kl rows are room for
+    the pivoting fill."""
 
-    def __init__(self, k: sp.csr_matrix):
-        n = k.shape[0]
-        pattern = abs(k)
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int):
+        pattern = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
+                                shape=(n, n))
+        # a one-cell-wide grid can leave no interior node; RCM needs one
         self.perm = reverse_cuthill_mckee(
             (pattern + pattern.T + sp.identity(n)).tocsr(),
-            symmetric_mode=True).astype(np.intp)
+            symmetric_mode=True).astype(np.intp) if n else np.arange(0)
         self.iperm = np.empty_like(self.perm)
         self.iperm[self.perm] = np.arange(n)
-        entries = k.tocoo()
-        entries.sum_duplicates()
-        rows, cols = self.iperm[entries.row], self.iperm[entries.col]
+        rows, cols = self.iperm[rows], self.iperm[cols]
         self.kl = int((rows - cols).max(initial=0))
         self.ku = int((cols - rows).max(initial=0))
         self.shape = (2 * self.kl + self.ku + 1, n)
         # offsets into the band array flattened in Fortran order
-        self.values = entries.data
         self.value_at = cols * self.shape[0] + self.kl + self.ku + rows - cols
-        self.diagonal_at = self.iperm * self.shape[0] + self.kl + self.ku
 
     def fits(self) -> bool:
         """Whether the band path beats SuperLU (BAND_SCORE_MAX) without
-        outgrowing its factors (BAND_FILL_MAX)."""
+        outgrowing its factors (BAND_FILL_MAX). An empty block, which LAPACK
+        cannot take, goes to SuperLU."""
         n = self.shape[1]
-        return (self.kl ** 2 <= BAND_SCORE_MAX * np.sqrt(n)
-                and self.shape[0] * n <= BAND_FILL_MAX * self.values.size)
+        return (n > 0 and self.kl ** 2 <= BAND_SCORE_MAX * np.sqrt(n)
+                and self.shape[0] * n <= BAND_FILL_MAX * self.value_at.size)
 
 
 class BandLU:
     """LAPACK band LU factors with SuperLU's ``solve(rhs, trans)``."""
 
-    def __init__(self, layout: _BandLayout, lub: np.ndarray, piv: np.ndarray):
+    def __init__(self, layout: _BandLayout, values: np.ndarray):
         self.layout = layout
-        self.lub = lub
-        self.piv = piv
+        flat = np.zeros(layout.shape[0] * layout.shape[1])
+        flat[layout.value_at] = values
+        self.lub, self.piv, info = dgbtrf(
+            flat.reshape(layout.shape, order="F"), layout.kl, layout.ku,
+            overwrite_ab=1)
+        if info != 0:
+            raise SolverError(f"singular Stokes-Brinkman system: band LU "
+                              f"(dgbtrf) returned info {info}")
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         band = self.layout
@@ -154,25 +172,184 @@ class BandLU:
         return x[band.iperm]
 
 
-def factor(op: "StokesOperator", drag: np.ndarray):
-    """LU factors of op.k_base + diag(drag), band or SuperLU as the operator
-    chose; either has ``solve(rhs, trans="N"|"T")``."""
-    band = op.band
-    if band is None:
+class _NullSpace:
+    """The per-grid part of the null-space solve (see NullSpaceLU).
+
+    ``basis`` Z is the discrete curl from the grid nodes to the free faces,
+    so div @ Z = 0. The nodes that Dirichlet boundary faces join share one
+    stream-function value: every run of wall, inlet or velocity-outlet faces
+    between two pressure outlets is one column, and the largest run is the
+    gauge psi = 0. Single nodes come first (the interior block, factored as
+    a band or by SuperLU) and runs last (the border). The entries of the
+    reduced matrix R = Z^T S^-1 (A + D) Z are listed once, interior block
+    first, then the border rows, then the border columns; their values are
+    ``base + drag_map @ d`` for the drag d on the free faces.
+    """
+
+    def __init__(self, k_base: sp.csr_matrix, div: sp.csr_matrix,
+                 curl: sp.csr_matrix, fixed: np.ndarray, s: np.ndarray,
+                 pinned: np.ndarray):
+        nu = s.size
+        self.a = k_base[:nu, :nu]
+        self.s = s
+        # An all-velocity boundary anchors the pressure of cell 0 in place of
+        # its continuity row; every other continuity row holds.
+        self.pinned = pinned
+        self.held = np.ones(div.shape[0], dtype=bool)
+        self.held[pinned] = False
+        self.div_held, self.div_pinned = div[self.held], div[pinned]
+        self.grad_pinned = k_base[:nu, nu + pinned]
+        self.poisson = spla.splu((self.div_held @ self.div_held.T).tocsc())
+
+        links = abs(curl[fixed])
+        _, label = connected_components(links.T @ links, directed=False)
+        size = np.bincount(label)
+        single, run = size == 1, size > 1
+        single[size.argmax()] = run[size.argmax()] = False   # the gauge
+        ni = self.n_interior = int(np.count_nonzero(single))
+        self.n_border = int(np.count_nonzero(run))
+        n = ni + self.n_border
+        column = np.full(size.size, -1)
+        column[single] = np.arange(ni)
+        column[run] = np.arange(ni, n)
+
+        # every free face holds the curl of the two nodes at its ends
+        face_curl = curl[~fixed]
+        face_curl.sort_indices()
+        ends = column[label[face_curl.indices]].reshape(nu, 2)
+        coef = face_curl.data.reshape(nu, 2)
+        faces = np.repeat(np.arange(nu), 2)
+        use = ends.ravel() >= 0
+        self.basis = sp.csr_matrix(
+            (coef.ravel()[use], (faces[use], ends.ravel()[use])),
+            shape=(nu, n))
+
+        # R = Z^T S^-1 A Z + sum_f (d_f / s_f) z_f z_f^T over the rows z_f
+        # of Z, so each face adds to the four entries its end nodes share
+        r_a = (self.basis.T @ sp.diags(1.0 / s) @ self.a @ self.basis).tocoo()
+        r_a.sum_duplicates()
+        first, second = [0, 0, 1, 1], [0, 1, 0, 1]
+        row, col = ends[:, first].ravel(), ends[:, second].ravel()
+        weight = (coef[:, first] * coef[:, second] / s[:, None]).ravel()
+        use = (row >= 0) & (col >= 0)
+        row, col, weight = row[use], col[use], weight[use]
+
+        def key(r, c):
+            # column-major within each part: interior, border rows, border
+            # columns
+            part = np.where(c >= ni, 2, np.where(r >= ni, 1, 0))
+            return (part * n + c) * n + r
+
+        keys = np.unique(np.r_[key(r_a.row, r_a.col), key(row, col)])
+        self.base = np.zeros(keys.size)
+        self.base[np.searchsorted(keys, key(r_a.row, r_a.col))] = r_a.data
+        self.drag_map = sp.csr_matrix(
+            (weight, (np.searchsorted(keys, key(row, col)),
+                      np.repeat(np.arange(nu), 4)[use])),
+            shape=(keys.size, nu))
+        rows, cols = keys % n, keys // n % n
+        self.split = np.searchsorted(keys, [n * n, 2 * n * n])
+        a, b = self.split
+        # interior block in CSC form, and flat offsets of the border entries
+        # into a dense (n_border, n_interior) lower and (n, n_border) right
+        self.indices = rows[:a]
+        self.indptr = np.searchsorted(cols[:a], np.arange(ni + 1))
+        self.lower_at = (rows[a:b] - ni) * ni + cols[a:b]
+        self.right_at = rows[b:] * self.n_border + cols[b:] - ni
+        band = _BandLayout(rows[:a], cols[:a], ni)
+        self.band = band if band.fits() else None
+
+    def factor_interior(self, values: np.ndarray):
+        """LU factors of the interior block, band or SuperLU."""
+        if self.band is not None:
+            return BandLU(self.band, values)
+        ni = self.n_interior
         try:
-            return spla.splu((op.k_base + sp.diags(drag)).tocsc())
+            return spla.splu(sp.csc_matrix((values, self.indices,
+                                            self.indptr), shape=(ni, ni)))
         except RuntimeError as exc:
             raise SolverError(
                 f"singular Stokes-Brinkman system: {exc}") from exc
-    flat = np.zeros(band.shape[0] * band.shape[1])
-    flat[band.value_at] = band.values
-    flat[band.diagonal_at] += drag
-    lub, piv, info = dgbtrf(flat.reshape(band.shape, order="F"), band.kl,
-                            band.ku, overwrite_ab=1)
-    if info != 0:
-        raise SolverError(f"singular Stokes-Brinkman system: band LU "
-                          f"(dgbtrf) returned info {info}")
-    return BandLU(band, lub, piv)
+
+
+class NullSpaceLU:
+    """Factors of k_base + diag(drag) through its null-space system, with
+    SuperLU's ``solve(rhs, trans)`` on the full unknown vector.
+
+    With A + D the velocity block, G = -S div^T the pressure gradient and
+    u = u_p + Z psi, where div u_p = b: Z^T S^-1 G = 0, so
+    R psi = Z^T S^-1 (f - (A + D) u_p), and then div^T p = S^-1 ((A + D) u - f)
+    is solved in the cell Poisson matrix div div^T. The transposed system
+    takes the same steps with R^T.
+    """
+
+    def __init__(self, ns: _NullSpace, d: np.ndarray, interior, border: dict):
+        self.ns = ns
+        self.d = d
+        self.interior = interior     # BandLU or SuperLU of the interior block
+        self.border = border         # per trans: lower, upper, Schur inverse
+
+    def _reduced(self, rhs: np.ndarray, trans: str) -> np.ndarray:
+        """Solve R psi = rhs (or R^T) through the Schur complement of the
+        interior block."""
+        lower, upper, schur = self.border[trans]
+        ni = self.ns.n_interior
+        y = self.interior.solve(rhs[:ni], trans)
+        runs = schur @ (rhs[ni:] - lower @ y)
+        return np.r_[y - self.interior.solve(upper @ runs, trans), runs]
+
+    def _momentum(self, u: np.ndarray, trans: str) -> np.ndarray:
+        """(A + D) u, or (A + D)^T u."""
+        a = self.ns.a if trans == "N" else self.ns.a.T
+        return a @ u + self.d * u
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        ns, s = self.ns, self.ns.s
+        top, bottom = rhs[:s.size], rhs[s.size:]
+        pressure = np.zeros(bottom.size)
+        pressure[ns.pinned] = bottom[ns.pinned]
+        if trans == "N":
+            top = top - ns.grad_pinned @ bottom[ns.pinned]
+            u = ns.div_held.T @ ns.poisson.solve(bottom[ns.held])
+            u += ns.basis @ self._reduced(
+                ns.basis.T @ ((top - self._momentum(u, "N")) / s), "N")
+            pressure[ns.held] = ns.poisson.solve(
+                ns.div_held @ ((self._momentum(u, "N") - top) / s))
+            return np.r_[u, pressure]
+        # K^T [w; q] = [top; bottom] with v = S w: the held rows of div v are
+        # -bottom, and (A + D)^T S^-1 v + div^T q = top
+        v = ns.div_held.T @ ns.poisson.solve(-bottom[ns.held])
+        v += ns.basis @ self._reduced(
+            ns.basis.T @ (top - self._momentum(v / s, "T")), "T")
+        w = v / s
+        pressure[ns.held] = ns.poisson.solve(
+            ns.div_held @ (top - self._momentum(w, "T")))
+        pressure[ns.pinned] += ns.div_pinned @ v
+        return np.r_[w, pressure]
+
+
+def factor(op: "StokesOperator", drag: np.ndarray) -> NullSpaceLU:
+    """Factors of op.k_base + diag(drag) with ``solve(rhs, trans="N"|"T")``.
+
+    Fills the reduced matrix R from the drag, factors its interior block on
+    the path the operator chose, and eliminates the border through the
+    Schur complement of that block."""
+    ns = op.null_space
+    d = drag[:ns.s.size]
+    values = ns.base + ns.drag_map @ d
+    a, b = ns.split
+    interior = ns.factor_interior(values[:a])
+    lower = np.zeros((ns.n_border, ns.n_interior))
+    lower.flat[ns.lower_at] = values[a:b]
+    right = np.zeros((ns.n_interior + ns.n_border, ns.n_border))
+    right.flat[ns.right_at] = values[b:]
+    upper, corner = right[:ns.n_interior], right[ns.n_interior:]
+    try:
+        schur = np.linalg.inv(corner - lower @ interior.solve(upper))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"singular Stokes-Brinkman system: {exc}") from exc
+    return NullSpaceLU(ns, d, interior, {"N": (lower, upper, schur),
+                                         "T": (upper.T, lower.T, schur.T)})
 
 
 class StokesOperator:
@@ -230,11 +407,13 @@ class StokesOperator:
 
         # eliminate the Dirichlet faces: x_full = select @ x + dirichlet
         free = np.ones(self.n_faces + nc, dtype=bool)
+        outlet = np.zeros(self.n_faces, dtype=bool)
         self.dirichlet_vec = np.zeros(self.n_faces)
         for side in SIDES:
             faces, _ = _side_faces(grid, side)
             fixed = grid.side_kind[side] != _PRESSURE_KIND
             free[faces[fixed]] = False
+            outlet[faces[~fixed]] = True
             self.dirichlet_vec[faces[fixed]] = grid.side_value[side][fixed]
         select = sp.identity(free.size, format="csr")[:, free]
         self.k_base = (select.T @ full @ select).tocsr()
@@ -244,8 +423,20 @@ class StokesOperator:
         self.scatter = select[:self.n_faces]
         self.n_unknowns = select.shape[1]
         self.p_offset = self.n_unknowns - nc
-        band = _BandLayout(self.k_base)
-        self.band = band if band.fits() else None
+
+        # Null space of the continuity rows: the discrete curl from the
+        # (nx + 1, ny + 1) grid nodes, C order, to the faces. The gradient is
+        # G = -S div^T with S = 2 on the pressure-outlet faces, where the
+        # half-cell gradient is doubled.
+        curl = sp.vstack([kron(eye(nx + 1), _divergence(ny) / dy),
+                          -kron(_divergence(nx) / dx, eye(ny + 1))]).tocsr()
+        free_faces = free[:self.n_faces]
+        faces_div = sp.hstack([div_x, div_y]) @ self.scatter[:, :self.p_offset]
+        self.null_space = _NullSpace(
+            self.k_base, faces_div.tocsr(), curl, ~free_faces,
+            np.where(outlet[free_faces], 2.0, 1.0),
+            pinned=np.arange(0 if grid.has_pressure_boundary else 1))
+        self.band = self.null_space.band
 
         # Brinkman drag: cell alpha averaged to the faces
         self.alpha_face = sp.vstack([kron(_face_average(nx), eye(ny)),
@@ -326,7 +517,7 @@ class FlowSolution:
 
     op: StokesOperator
     x: np.ndarray
-    lu: object               # BandLU or SuperLU, from factor(); serves the adjoint
+    lu: NullSpaceLU          # from factor(); serves the adjoint
     residual: float
 
     def __post_init__(self) -> None:

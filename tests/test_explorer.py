@@ -98,6 +98,12 @@ class TestPareto:
         with pytest.raises(InvalidInputError):
             pareto_front([])
 
+    @pytest.mark.parametrize("points", [[(math.nan, 1.0), (0.5, 2.0)],
+                                        [(0.2, math.nan), (0.5, 2.0)]])
+    def test_non_finite_rejected(self, points):
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            pareto_front(points)
+
 
 class TestCopSurface:
     def test_single_node_matches_report(self):

@@ -8,10 +8,12 @@ Stokes-Brinkman solver.
   divides R_th by k^2;
 - every flow solved by ``sweep`` meets its pressure or pump-power target
   to ``roots.REL_TOL``;
-- on random densities, ``StokesOperator.solve`` and its transposed solve
-  equal a SuperLU solve of the same matrix on either factor path, every
-  cell conserves mass, and the adjoint gradient matches central finite
-  differences;
+- on random densities, ``StokesOperator.solve`` equals a SuperLU solve of
+  the same matrix on either factor path, and so do the forward and the
+  transposed null-space solve of a random right-hand side, on the two-outlet
+  grids and on the four boundary layouts of ``test_topo_operators.py``;
+  every cell conserves mass, and the adjoint gradient matches central
+  finite differences;
 - the optimizer's ``_project`` returns a point in the box [0, 1], within
   the move limit of the previous design and at most at the volume
   fraction.
@@ -37,6 +39,7 @@ from jetcool.roots import REL_TOL
 from jetcool.topo import (DensityField, Grid2D, Segment, TopoProblem,
                           gradient, objective, solver)
 from jetcool.topo.optimize import _project
+from test_topo_operators import GRIDS as LAYOUTS
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 CHIP, TC = 8e-3, 0.2e-3
@@ -152,20 +155,37 @@ def relative_error(x, ref):
     return np.linalg.norm(x - ref) / np.linalg.norm(ref)
 
 
+def assert_solves_like_superlu(grid, path, eps, seed):
+    problem = TopoProblem(grid=grid, fluid=water())
+    op = operator(grid, problem.mu, path)
+    alpha = problem.alpha(eps)
+    sol = op.solve(alpha)
+    ref = spla.splu(op.matrix(alpha).tocsc())
+    assert relative_error(sol.x, ref.solve(op.rhs_base)) <= 1e-10
+    # velocity and pressure parts alike
+    rhs = np.random.default_rng(seed).standard_normal(op.n_unknowns)
+    for trans in ("N", "T"):
+        assert relative_error(sol.lu.solve(rhs, trans=trans),
+                              ref.solve(rhs, trans=trans)) <= 1e-10, trans
+
+
 @pytest.mark.parametrize("path", sorted(PATH_LIMITS))
 @TOPO_SETTINGS
 @given(densities([(8, 4), (16, 8), (12, 12)]), st.integers(0, 2 ** 32 - 1))
 def test_solves_equal_a_superlu_solve(path, field, seed):
     shape, eps = field
-    problem = TopoProblem(grid=two_outlet_grid(shape), fluid=water())
-    op = operator(problem.grid, problem.mu, path)
-    alpha = problem.alpha(eps)
-    sol = op.solve(alpha)
-    ref = spla.splu(op.matrix(alpha).tocsc())
-    assert relative_error(sol.x, ref.solve(op.rhs_base)) <= 1e-10
-    rhs = np.random.default_rng(seed).standard_normal(op.n_unknowns)
-    assert relative_error(sol.lu.solve(rhs, trans="T"),
-                          ref.solve(rhs, trans="T")) <= 1e-10
+    assert_solves_like_superlu(two_outlet_grid(shape), path, eps, seed)
+
+
+@pytest.mark.parametrize("path", sorted(PATH_LIMITS))
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@TOPO_SETTINGS
+@given(st.data(), st.integers(0, 2 ** 32 - 1))
+def test_boundary_layouts_solve_like_superlu(layout, path, data, seed):
+    grid = LAYOUTS[layout]()
+    eps = data.draw(arrays(np.float64, (grid.nx, grid.ny),
+                           elements=st.floats(0.0, 1.0)))
+    assert_solves_like_superlu(grid, path, eps, seed)
 
 
 @TOPO_SETTINGS

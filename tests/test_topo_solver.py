@@ -8,6 +8,7 @@ from jetcool.props import water
 from jetcool.topo import (DensityField, Grid2D, Segment, StokesOperator,
                           default_alpha_bounds, inverse_permeability, solver,
                           solve_flow)
+from test_topo_operators import GRIDS as LAYOUTS
 
 
 def channel(ny, aspect=4, u_mean=0.01, ly=1e-3):
@@ -207,12 +208,59 @@ def test_singular_system_is_a_solver_error(score_max, path):
     with mock.patch.object(solver, "BAND_SCORE_MAX", score_max):
         op = StokesOperator(grid, water().viscosity)
     assert (op.band is not None) == (path == "band")
-    # without k_base only the drag diagonal is left: the pressure rows vanish
-    op.k_base = 0.0 * op.k_base
-    if op.band is not None:
-        op.band.values = np.zeros_like(op.band.values)
+    # without its viscous part and without drag the reduced system is zero
+    op.null_space.base[:] = 0.0
     with pytest.raises(SolverError, match="singular Stokes-Brinkman system"):
-        op.solve(np.ones(grid.n_cells))
+        op.solve(np.zeros(grid.n_cells))
+
+
+def manifold_grid():
+    nx, ny = 100, 30
+    return Grid2D(nx, ny, 10e-3 / nx, 2e-3 / ny, [
+        Segment("left", 0, ny, "inlet", "constant", 0.02)] + [
+        Segment("bottom", c - 3, c + 3, "outlet_pressure")
+        for c in (20, 40, 60, 80)])
+
+
+def two_outlet_grid():
+    return Grid2D(16, 8, 2e-3 / 16, 1e-3 / 8, [
+        Segment("left", 0, 8, "inlet", "parabolic", 0.01),
+        Segment("bottom", 2, 6, "outlet_pressure"),
+        Segment("bottom", 10, 14, "outlet_pressure")])
+
+
+# runs of Dirichlet boundary faces between pressure outlets, counted by hand
+WALL_RUNS = {"pinned": 1, "adjacent_pressure": 1, "three_pressure": 1,
+             "velocity_outlet": 2, "two_outlet": 2, "manifold": 4}
+
+
+@pytest.mark.parametrize("name", sorted(WALL_RUNS))
+def test_null_space_basis(name):
+    grid = {**LAYOUTS, "two_outlet": two_outlet_grid,
+            "manifold": manifold_grid}[name]()
+    op = StokesOperator(grid, water().viscosity)
+    ns = op.null_space
+    faces = op.p_offset
+    nullity = faces - grid.n_cells + (0 if grid.has_pressure_boundary else 1)
+    assert ns.basis.shape == (faces, nullity)
+    assert ns.n_interior + ns.n_border == nullity
+    assert ns.n_border == WALL_RUNS[name] - 1
+    # the continuity rows (but the pinned one of an all-velocity boundary)
+    div = op.k_base[faces:, :faces]
+    assert (div @ ns.basis).count_nonzero() == 0
+    if nullity < 100:
+        assert np.linalg.matrix_rank(ns.basis.toarray()) == nullity
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 1), (1, 1), (1, 4)])
+def test_one_cell_wide_channel(nx, ny):
+    # one wall run can hold every node: the reduced system may be empty
+    grid = Grid2D(nx, ny, 1e-4, 1e-4, [
+        Segment("left", 0, ny, "inlet", "constant", 0.01),
+        Segment("right", 0, ny, "outlet_pressure")])
+    sol = solve_flow(grid, DensityField.uniform(grid, 1.0), water())
+    assert sol.outlet_flows().sum() == pytest.approx(sol.op.inlet_flux,
+                                                     rel=1e-12)
 
 
 def test_parabolic_profile_shape():
