@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import config, explorer, metrology, performance, tables, topo
-from .errors import ConfigError, InfeasibleError, InvalidInputError, SolverError
+from .errors import (ConfigError, InfeasibleError, InvalidInputError,
+                     SolverError, check)
 from .explorer import M3S_PER_MLPM
 from .geometry import HEATED_FRACTION_DEFAULT, array_from_ratios
 
@@ -457,12 +458,19 @@ def cmd_benchmark(args) -> int:
         else:
             warnings.append("no_pump_power")
         points.append((label, row["material"], r_star, w_star, warnings))
-    if args.user_r_star is not None:
-        if args.user_pump_w is None or args.user_area_cm2 is None:
+    user = (args.user_r_star, args.user_pump_w, args.user_area_cm2)
+    if user != (None, None, None):
+        if None in user:
             raise ConfigError("user point needs --user-r-star, --user-pump-w "
                               "and --user-area-cm2")
-        w_star = args.user_pump_w / args.user_area_cm2
-        points.append((args.user_label, "user", args.user_r_star, w_star, ""))
+        r_star, pump, area = user
+        check(0 < r_star < math.inf,
+              "--user-r-star must be finite and > 0, got {}", r_star)
+        check(0 <= pump < math.inf,
+              "--user-pump-w must be finite and >= 0, got {}", pump)
+        check(0 < area < math.inf,
+              "--user-area-cm2 must be finite and > 0, got {}", area)
+        points.append((args.user_label, "user", r_star, pump / area, ""))
     tables.write_csv(out / "benchmark.csv", ("label", "material",
                                              "r_star_Kcm2_W", "w_star_W_cm2",
                                              "warnings"), points)

@@ -51,8 +51,9 @@ def gradient(problem: TopoProblem, eps: DensityField,
              solution: FlowSolution) -> np.ndarray:
     """dJ/d(eps) per design cell via the discrete adjoint.
 
-    Solves the transposed system with dJ/dx as right-hand side (one extra
-    triangular solve on the stored factorization), then combines the
+    Solves the transposed system with dJ/du as right-hand side on the
+    stored factorization, for the adjoint velocity only (J has no pressure
+    term, so the adjoint pressure feeds nothing), then combines the
     explicit alpha-dependence of J1 and of the drag diagonal:
     dJ/deps_c = beta*lambda2 * (1/2) alpha'(eps_c) sum_f w_fc A_f x_f^2
                 - alpha'(eps_c) sum_rows w_rc lambda_row x_row.
@@ -76,10 +77,11 @@ def gradient(problem: TopoProblem, eps: DensityField,
     d_j2 = op.outlet_op.T @ (q - q.mean())
     d_obj = op.scatter.T @ (beta * lam2 * d_j1 + (1.0 - beta) * lam1 * d_j2)
 
-    adjoint = solution.lu.solve(d_obj, trans="T")
+    nu = op.p_offset
+    adjoint = solution.lu.adjoint(d_obj[:nu])
 
     d_alpha = problem.alpha_deriv(eps.eps).ravel()
     explicit = 0.5 * beta * lam2 * (
         op.alpha_face.T @ (x_all ** 2 * op.face_area)) * d_alpha
-    implicit = (op.alpha_avg.T @ (adjoint * solution.x)) * d_alpha
+    implicit = (op.alpha_avg[:nu].T @ (adjoint * solution.x[:nu])) * d_alpha
     return (explicit - implicit).reshape(eps.eps.shape)

@@ -5,7 +5,7 @@ this pairing is inf-sup stable so no pressure stabilization is needed. The
 operator splits into an eps-independent part (viscous terms, pressure
 gradient, continuity) assembled once per grid, plus a diagonal Brinkman drag
 alpha(eps) updated per solve; one LU factorization then serves both the
-forward and the (transposed) adjoint solve.
+state solve and the velocity-only adjoint solve of the gradient.
 
 The solve works in the null space of the divergence (Benzi, Golub & Liesen
 2005, "Numerical solution of saddle point problems", Acta Numerica 14, sec.
@@ -16,12 +16,12 @@ continuity. Multiplying the momentum rows by Z^T S^-1 removes the pressure,
 which leaves the reduced matrix R = Z^T S^-1 (A + D) Z, about a third of the
 unknowns of the saddle-point system and a narrower band. The pressure comes
 back from the momentum residual through a cell Poisson matrix factored once
-per grid. R's interior block is factored as a LAPACK band LU under a reverse
-Cuthill-McKee order (Cuthill & McKee 1969) computed once per grid, or with
-SuperLU when its band would be too large; the few stream-function values of
-wall runs between outlets border it and are eliminated through a Schur
-complement. ``factor`` hides all of this behind ``solve(rhs, trans)`` on the
-full velocity-pressure vector.
+per grid; the same matrix gives u_p, once per grid. R's interior block is
+factored as a LAPACK band LU under a reverse Cuthill-McKee order (Cuthill &
+McKee 1969) computed once per grid, or with SuperLU when its band would be
+too large; the few stream-function values of wall runs between outlets
+border it and are eliminated through a Schur complement. ``factor`` hides
+all of this behind ``state()`` and the velocity-only ``adjoint(rhs)``.
 
 Boundary treatment: velocity-type faces are Dirichlet; tangential velocity
 at velocity-type boundaries uses linear-reflection ghosts (formal order 2 of
@@ -186,20 +186,25 @@ class _NullSpace:
     ``base + drag_map @ d`` for the drag d on the free faces.
     """
 
-    def __init__(self, k_base: sp.csr_matrix, div: sp.csr_matrix,
-                 curl: sp.csr_matrix, fixed: np.ndarray, s: np.ndarray,
-                 pinned: np.ndarray):
+    def __init__(self, k_base: sp.csr_matrix, rhs: np.ndarray,
+                 div: sp.csr_matrix, curl: sp.csr_matrix, fixed: np.ndarray,
+                 s: np.ndarray, pinned: np.ndarray):
         nu = s.size
         self.a = k_base[:nu, :nu]
         self.s = s
         # An all-velocity boundary anchors the pressure of cell 0 in place of
         # its continuity row; every other continuity row holds.
-        self.pinned = pinned
         self.held = np.ones(div.shape[0], dtype=bool)
         self.held[pinned] = False
-        self.div_held, self.div_pinned = div[self.held], div[pinned]
-        self.grad_pinned = k_base[:nu, nu + pinned]
+        self.div_held = div[self.held]
         self.poisson = spla.splu((self.div_held @ self.div_held.T).tocsc())
+        # the state's right-hand side is fixed: the pinned pressure, the
+        # momentum part less its gradient, and u_p with div u_p = the rest
+        bottom = rhs[nu:]
+        self.pressure = np.zeros(bottom.size)
+        self.pressure[pinned] = bottom[pinned]
+        self.top = rhs[:nu] - k_base[:nu, nu + pinned] @ bottom[pinned]
+        self.u_p = self.div_held.T @ self.poisson.solve(bottom[self.held])
 
         links = abs(curl[fixed])
         _, label = connected_components(links.T @ links, directed=False)
@@ -273,14 +278,14 @@ class _NullSpace:
 
 
 class NullSpaceLU:
-    """Factors of k_base + diag(drag) through its null-space system, with
-    SuperLU's ``solve(rhs, trans)`` on the full unknown vector.
+    """Factors of k_base + diag(drag) through its null-space system.
 
     With A + D the velocity block, G = -S div^T the pressure gradient and
     u = u_p + Z psi, where div u_p = b: Z^T S^-1 G = 0, so
     R psi = Z^T S^-1 (f - (A + D) u_p), and then div^T p = S^-1 ((A + D) u - f)
-    is solved in the cell Poisson matrix div div^T. The transposed system
-    takes the same steps with R^T.
+    is solved in the cell Poisson matrix div div^T. In the transposed system
+    K^T [w; q] = [r; 0], v = S w meets the held continuity rows, so
+    v = Z R^-T Z^T r and q is not needed.
     """
 
     def __init__(self, ns: _NullSpace, d: np.ndarray, interior, border: dict):
@@ -298,38 +303,29 @@ class NullSpaceLU:
         runs = schur @ (rhs[ni:] - lower @ y)
         return np.r_[y - self.interior.solve(upper @ runs, trans), runs]
 
-    def _momentum(self, u: np.ndarray, trans: str) -> np.ndarray:
-        """(A + D) u, or (A + D)^T u."""
-        a = self.ns.a if trans == "N" else self.ns.a.T
-        return a @ u + self.d * u
+    def _momentum(self, u: np.ndarray) -> np.ndarray:
+        """(A + D) u."""
+        return self.ns.a @ u + self.d * u
 
-    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        ns, s = self.ns, self.ns.s
-        top, bottom = rhs[:s.size], rhs[s.size:]
-        pressure = np.zeros(bottom.size)
-        pressure[ns.pinned] = bottom[ns.pinned]
-        if trans == "N":
-            top = top - ns.grad_pinned @ bottom[ns.pinned]
-            u = ns.div_held.T @ ns.poisson.solve(bottom[ns.held])
-            u += ns.basis @ self._reduced(
-                ns.basis.T @ ((top - self._momentum(u, "N")) / s), "N")
-            pressure[ns.held] = ns.poisson.solve(
-                ns.div_held @ ((self._momentum(u, "N") - top) / s))
-            return np.r_[u, pressure]
-        # K^T [w; q] = [top; bottom] with v = S w: the held rows of div v are
-        # -bottom, and (A + D)^T S^-1 v + div^T q = top
-        v = ns.div_held.T @ ns.poisson.solve(-bottom[ns.held])
-        v += ns.basis @ self._reduced(
-            ns.basis.T @ (top - self._momentum(v / s, "T")), "T")
-        w = v / s
+    def state(self) -> np.ndarray:
+        """Velocity and pressure of the operator's right-hand side."""
+        ns = self.ns
+        u = ns.u_p + ns.basis @ self._reduced(
+            ns.basis.T @ ((ns.top - self._momentum(ns.u_p)) / ns.s), "N")
+        pressure = ns.pressure.copy()
         pressure[ns.held] = ns.poisson.solve(
-            ns.div_held @ (top - self._momentum(w, "T")))
-        pressure[ns.pinned] += ns.div_pinned @ v
-        return np.r_[w, pressure]
+            ns.div_held @ ((self._momentum(u) - ns.top) / ns.s))
+        return np.r_[u, pressure]
+
+    def adjoint(self, rhs: np.ndarray) -> np.ndarray:
+        """Velocity part w of K^T [w; q] = [rhs; 0], for a right-hand side
+        on the free faces."""
+        ns = self.ns
+        return ns.basis @ self._reduced(ns.basis.T @ rhs, "T") / ns.s
 
 
 def factor(op: "StokesOperator", drag: np.ndarray) -> NullSpaceLU:
-    """Factors of op.k_base + diag(drag) with ``solve(rhs, trans="N"|"T")``.
+    """Factors of op.k_base + diag(drag), for ``state()`` and ``adjoint``.
 
     Fills the reduced matrix R from the drag, factors its interior block on
     the path the operator chose, and eliminates the border through the
@@ -433,10 +429,9 @@ class StokesOperator:
         free_faces = free[:self.n_faces]
         faces_div = sp.hstack([div_x, div_y]) @ self.scatter[:, :self.p_offset]
         self.null_space = _NullSpace(
-            self.k_base, faces_div.tocsr(), curl, ~free_faces,
+            self.k_base, self.rhs_base, faces_div.tocsr(), curl, ~free_faces,
             np.where(outlet[free_faces], 2.0, 1.0),
             pinned=np.arange(0 if grid.has_pressure_boundary else 1))
-        self.band = self.null_space.band
 
         # Brinkman drag: cell alpha averaged to the faces
         self.alpha_face = sp.vstack([kron(_face_average(nx), eye(ny)),
@@ -482,9 +477,6 @@ class StokesOperator:
     # ------------------------------------------------------------------
     # solving
 
-    def matrix(self, alpha_cells: np.ndarray) -> sp.csr_matrix:
-        return self.k_base + sp.diags(self.drag(alpha_cells))
-
     def drag(self, alpha_cells: np.ndarray) -> np.ndarray:
         """Brinkman drag diagonal of the unknowns from cell values of alpha."""
         alpha = np.asarray(alpha_cells, dtype=float).ravel()
@@ -498,7 +490,7 @@ class StokesOperator:
     def solve(self, alpha_cells: np.ndarray) -> "FlowSolution":
         drag = self.drag(alpha_cells)
         lu = factor(self, drag)
-        x = lu.solve(self.rhs_base)
+        x = lu.state()
         if not np.all(np.isfinite(x)):
             raise SolverError("non-finite solution (singular or ill-posed "
                               "boundary conditions)")

@@ -641,6 +641,25 @@ class TestBenchmark:
         assert float(mine["r_star_Kcm2_W"]) == 0.16
         assert float(mine["w_star_W_cm2"]) == 0.4 / 0.64
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--user-area-cm2", "0"), ("--user-area-cm2", "nan"),
+        ("--user-area-cm2", "-1"), ("--user-r-star", "nan")])
+    def test_bad_user_point_exit_2(self, tmp_path, capsys, flag, value):
+        point = {"--user-r-star": "0.16", "--user-pump-w": "0.4",
+                 "--user-area-cm2": "0.64", flag: value}
+        argv = ["benchmark", "--out", str(tmp_path / "out")]
+        for key, text in point.items():
+            argv += [key, text]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be finite and > 0" in err
+        assert "Traceback" not in err
+
+    def test_partial_user_point_exit_2(self, tmp_path, capsys):
+        assert run(["benchmark", "--out", str(tmp_path / "out"),
+                    "--user-pump-w", "0.4", "--user-area-cm2", "0.64"]) == 2
+        assert "user point needs" in capsys.readouterr().err
+
     def test_row_without_pump_data_flagged(self, tmp_path):
         out = tmp_path / "out"
         run(["benchmark", "--out", str(out)])

@@ -207,11 +207,23 @@ def test_singular_system_is_a_solver_error(score_max, path):
     grid = channel(8)
     with mock.patch.object(solver, "BAND_SCORE_MAX", score_max):
         op = StokesOperator(grid, water().viscosity)
-    assert (op.band is not None) == (path == "band")
+    assert (op.null_space.band is not None) == (path == "band")
     # without its viscous part and without drag the reduced system is zero
     op.null_space.base[:] = 0.0
     with pytest.raises(SolverError, match="singular Stokes-Brinkman system"):
         op.solve(np.zeros(grid.n_cells))
+
+
+def test_poisson_solves_per_state_and_adjoint():
+    # u_p is formed once per grid, and the adjoint needs no pressure: a state
+    # solve recovers only its own pressure
+    grid = channel(8)
+    op = StokesOperator(grid, water().viscosity)
+    poisson = op.null_space.poisson = mock.Mock(wraps=op.null_space.poisson)
+    sol = op.solve(np.ones(grid.n_cells))
+    assert poisson.solve.call_count == 1
+    sol.lu.adjoint(np.ones(op.p_offset))
+    assert poisson.solve.call_count == 1
 
 
 def manifold_grid():
