@@ -9,7 +9,6 @@ benchmark. Configs are INI files with the units fixed at the boundary
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
 import itertools
 import math
@@ -166,14 +165,6 @@ def cmd_explore(args) -> int:
     return EXIT_OK
 
 
-def _finite(text: str) -> bool:
-    """Whether a table cell reads as a finite number."""
-    try:
-        return math.isfinite(float(text))
-    except ValueError:
-        return False
-
-
 def cmd_pareto(args) -> int:
     src = args.input
     if src is None and args.config:
@@ -183,23 +174,19 @@ def cmd_pareto(args) -> int:
         raise ConfigError("pareto needs --input CSV (or [pareto] input=...)")
     for rk, wk in (("r_th_K_W", "wp_W"), ("r_th", "w_p")):
         try:
-            rows = tables.read_csv(src, (rk, wk))
+            rows = tables.read_csv(src, {rk: float, wk: float}, blank=(rk, wk))
             break
-        except ConfigError:
+        except tables.MissingColumnsError:
             continue
     else:
         raise ConfigError(f"{src}: need columns r_th_K_W/wp_W or r_th/w_p")
-    # infeasible sweep rows carry empty metrics
-    try:
-        points = [(float(row[rk]), float(row[wk])) for row in rows if row[rk]]
-    except ValueError:
-        points = None
-    if points is None or not all(map(math.isfinite,
-                                     itertools.chain.from_iterable(points))):
-        k, col = next((k, col) for k, row in enumerate(rows, 1) if row[rk]
-                      for col in (rk, wk) if not _finite(row[col]))
-        raise ConfigError(f"{src}: data row {k}, column {col}: "
-                          f"{rows[k - 1][col]!r} is not a finite number")
+    # infeasible sweep rows leave both metrics blank, feasible ones neither
+    for k, (r, w) in enumerate(rows, 1):
+        if (r is None) != (w is None):
+            col = wk if w is None else rk
+            raise ConfigError(f"{src}: data row {k}, column {col}: '' is not "
+                              "a finite number")
+    points = [row for row in rows if row[0] is not None]
     if not points:
         raise ConfigError(f"{src}: no usable points")
     front = explorer.pareto_front(points)
@@ -336,12 +323,12 @@ def cmd_reduce(args) -> int:
     if not args.config:
         raise ConfigError("reduce needs --config DATASET_CSV")
     head = config.header(args.config)
-    rows = tables.read_csv(args.config,
-                           ("row", "col", "reading_on", "reading_off"))
+    rows = tables.read_csv(args.config, dict(
+        row=int, col=int, reading_on=float, reading_off=float))
     if not rows:
         raise ConfigError(f"{args.config}: empty dataset")
     # each (row, col) from (0, 0) to the largest must be given exactly once
-    cells = np.array([(int(r["row"]), int(r["col"])) for r in rows])
+    cells = np.array([r[:2] for r in rows])
     bad = cells[(cells < 0).any(axis=1)]
     if not bad.size:
         count = np.zeros(cells.max(axis=0) + 1, dtype=int)
@@ -351,8 +338,8 @@ def cmd_reduce(args) -> int:
         raise ConfigError(f"{args.config}: sensor cell (row {bad[0, 0]}, col "
                           f"{bad[0, 1]}) is missing, repeated or negative")
     on, off = np.zeros((2, *count.shape))
-    on[tuple(cells.T)] = [float(r["reading_on"]) for r in rows]
-    off[tuple(cells.T)] = [float(r["reading_off"]) for r in rows]
+    on[tuple(cells.T)] = [r[2] for r in rows]
+    off[tuple(cells.T)] = [r[3] for r in rows]
 
     model = config.value(head, "model", "diode", cast=str)
     if model == "diode":
@@ -418,24 +405,25 @@ def _parse_quantity(text: str, units: dict) -> float | None:
     return None
 
 
-_FIXTURE_COLUMNS = {"authors", "year", "material", "chip_area_cm2",
-                    "thermal_metric", "thermal_metric_unit", "pump_w", "flow",
-                    "dp"}
+_FIXTURE_COLUMNS = dict(authors=str, year=str, material=str,
+                        thermal_metric_unit=str, flow=str, dp=str,
+                        chip_area_cm2=float, thermal_metric=float, pump_w=float)
 
 
 def cmd_benchmark(args) -> int:
+    fixture = (tables.DATA_DIR / "benchmark_fixture.csv"
+               if args.fixture is None else args.fixture)
     # a short fixture row reads as empty cells, reported like missing values
-    rows = tables.read_csv(
-        tables.DATA_DIR / "benchmark_fixture.csv" if args.fixture is None
-        else args.fixture, _FIXTURE_COLUMNS)
+    rows = tables.read_csv(fixture, _FIXTURE_COLUMNS,
+                           blank=("chip_area_cm2", "thermal_metric", "pump_w"))
     out = _out_dir(args)
     points = []
-    for row in rows:
+    for authors, year, material, unit, flow, dp, area, metric, pump in rows:
         warnings = []
-        label = f"{row['authors']} {row['year']}"
-        area = float(row["chip_area_cm2"]) if row["chip_area_cm2"] else None
-        metric = float(row["thermal_metric"]) if row["thermal_metric"] else None
-        unit = row["thermal_metric_unit"]
+        label = f"{authors} {year}"
+        for name, val in (("chip_area_cm2", area), ("thermal_metric", metric)):
+            check(val is None or val > 0, "{}: {}: {} must be > 0, got {}",
+                  fixture, label, name, val, error=ConfigError)
         r_star = ""
         if metric is not None:
             if unit == "Kcm2/W":
@@ -446,18 +434,22 @@ def cmd_benchmark(args) -> int:
                 r_star = 1.0 / metric   # R*A = 1/h for convective resistance
             else:
                 warnings.append("metric_not_normalizable")
-        pump = float(row["pump_w"]) if row["pump_w"] else None
+        check(r_star == "" or 0 < r_star < math.inf, "{}: {}: R_th*A must be "
+              "finite and > 0, got {}", fixture, label, r_star,
+              error=ConfigError)
         if pump is None:
-            flow = _parse_quantity(row["flow"], _FLOW_UNITS)
-            dp = _parse_quantity(row["dp"], _DP_UNITS)
-            if flow is not None and dp is not None:
-                pump = flow * dp
+            flow_m3s = _parse_quantity(flow, _FLOW_UNITS)
+            dp_pa = _parse_quantity(dp, _DP_UNITS)
+            if flow_m3s is not None and dp_pa is not None:
+                pump = flow_m3s * dp_pa
         w_star = ""
         if pump is not None and area is not None:
             w_star = pump / area
+            check(0 <= w_star < math.inf, "{}: {}: W_p/A must be finite and "
+                  ">= 0, got {}", fixture, label, w_star, error=ConfigError)
         else:
             warnings.append("no_pump_power")
-        points.append((label, row["material"], r_star, w_star, warnings))
+        points.append((label, material, r_star, w_star, warnings))
     user = (args.user_r_star, args.user_pump_w, args.user_area_cm2)
     if user != (None, None, None):
         if None in user:
@@ -527,7 +519,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidInputError, OSError, configparser.Error, ValueError) as exc:
+    except (InvalidInputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InfeasibleError as exc:

@@ -23,9 +23,13 @@ def _parser(**options) -> configparser.ConfigParser:
 
 
 def read(path) -> configparser.ConfigParser:
-    """Parse an INI file."""
+    """Parse an INI file; a malformed one raises ``ConfigError``."""
     cp = _parser()
-    if not cp.read(path):
+    try:
+        found = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from None
+    if not found:
         raise ConfigError(f"cannot read config file {str(path)!r}")
     return cp
 
@@ -54,7 +58,8 @@ def section(cp: configparser.ConfigParser, name: str):
     return cp[name]
 
 
-def _convert(sec, key: str, text: str, cast):
+def convert(sec, key: str, text: str, cast=float):
+    """``text`` of ``key`` in ``sec`` as ``cast``; a float must be finite."""
     try:
         val = cast(text)
     except ValueError:
@@ -73,7 +78,7 @@ def value(sec, key: str, default=REQUIRED, scale: float = 1.0, cast=float):
     its type, so integer keys stay ``int``.
     """
     if key in sec:
-        val = _convert(sec, key, sec[key], cast)
+        val = convert(sec, key, sec[key], cast)
     elif default is REQUIRED:
         raise ConfigError(f"[{sec.name}] missing required key {key!r}")
     else:
@@ -89,7 +94,7 @@ def values(sec, key: str, cast=float, default=REQUIRED) -> tuple:
     tokens = value(sec, key, cast=str).replace(",", " ").split()
     if not tokens:
         raise ConfigError(f"[{sec.name}] {key} is an empty list")
-    return tuple(_convert(sec, key, tok, cast) for tok in tokens)
+    return tuple(convert(sec, key, tok, cast) for tok in tokens)
 
 
 def _named(sec, builtin, load):

@@ -215,7 +215,11 @@ def eval_catalog(entry: PowerLawCorrelation, re: float,
     return Prediction(value, tuple(warns))
 
 
-_CATALOG_HEADER = ["label", "c", "m", "pr_exponent", "re_min", "re_max", "basis"]
+# in the order of the PowerLawCorrelation fields: the columns after basis
+# may be blank, and the last two absent
+_CATALOG_COLUMNS = dict(label=str, c=float, m=float, basis=str,
+                        pr_exponent=float, re_min=float, re_max=float,
+                        h_over_d_exponent=float, xn_over_d_exponent=float)
 
 
 def load_catalog(path: str | Path) -> dict[str, PowerLawCorrelation]:
@@ -225,24 +229,11 @@ def load_catalog(path: str | Path) -> dict[str, PowerLawCorrelation]:
     carry a ``form`` column naming the template (``power_law`` or
     ``power_law_hd_xn``) plus ``h_over_d_exponent``/``xn_over_d_exponent``.
     """
-    def opt(row, key):
-        raw = (row.get(key) or "").strip()
-        return float(raw) if raw else None
-
-    out: dict[str, PowerLawCorrelation] = {}
-    for row in tables.read_csv(path, _CATALOG_HEADER):
-        out[row["label"]] = PowerLawCorrelation(
-            label=row["label"],
-            c=float(row["c"]),
-            m=float(row["m"]),
-            basis=Basis(row["basis"]),
-            pr_exponent=opt(row, "pr_exponent"),
-            re_min=opt(row, "re_min"),
-            re_max=opt(row, "re_max"),
-            h_over_d_exponent=opt(row, "h_over_d_exponent"),
-            xn_over_d_exponent=opt(row, "xn_over_d_exponent"),
-        )
-    return out
+    names = list(_CATALOG_COLUMNS)
+    rows = tables.read_csv(path, _CATALOG_COLUMNS, blank=names[4:],
+                           optional=names[7:])
+    return {label: PowerLawCorrelation(label, c, m, Basis(basis), *rest)
+            for label, c, m, basis, *rest in rows}
 
 
 def builtin_catalog() -> dict[str, PowerLawCorrelation]:

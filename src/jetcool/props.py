@@ -95,27 +95,22 @@ def biot(nu_f: float, t_c: float, d_i: float, k_f: float, k_s: float) -> float:
 # ---------------------------------------------------------------------------
 # catalog loading
 
-_FLUID_HEADER = ["name", "density_kg_m3", "viscosity_kg_ms", "cp_J_kgK",
-                 "k_W_mK", "ref_temp_C"]
-_SOLID_HEADER = ["name", "k_W_mK"]
+# in the order of the FluidProps and SolidProps fields
+_FLUID_COLUMNS = dict(name=str, density_kg_m3=float, viscosity_kg_ms=float,
+                      cp_J_kgK=float, k_W_mK=float, ref_temp_C=float)
+_SOLID_COLUMNS = dict(name=str, k_W_mK=float)
 
 
 def load_fluids(path: str | Path) -> dict[str, FluidProps]:
     """Load a fluid catalog CSV (schema in the module docstring)."""
-    return {row["name"]: FluidProps(
-                name=row["name"],
-                density=float(row["density_kg_m3"]),
-                viscosity=float(row["viscosity_kg_ms"]),
-                specific_heat=float(row["cp_J_kgK"]),
-                conductivity=float(row["k_W_mK"]),
-                reference_temp=float(row["ref_temp_C"]))
-            for row in tables.read_csv(path, _FLUID_HEADER)}
+    return {row[0]: FluidProps(*row)
+            for row in tables.read_csv(path, _FLUID_COLUMNS)}
 
 
 def load_solids(path: str | Path) -> dict[str, SolidProps]:
     """Load a solid catalog CSV with header ``name,k_W_mK``."""
-    return {row["name"]: SolidProps(row["name"], float(row["k_W_mK"]))
-            for row in tables.read_csv(path, _SOLID_HEADER)}
+    return {row[0]: SolidProps(*row)
+            for row in tables.read_csv(path, _SOLID_COLUMNS)}
 
 
 def builtin_fluids() -> dict[str, FluidProps]:

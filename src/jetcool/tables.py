@@ -2,7 +2,11 @@
 
 Numbers are written with 10 significant digits and cells are joined with
 bare commas, one row per line. A CSV read skips leading ``#`` lines, checks
-its required columns and reads a short row as empty cells.
+its header for the columns asked for and reads a short row as empty cells.
+Each column is typed ``str``, ``int`` or ``float``, and only the columns
+asked for are converted: a numeric cell must hold a finite number, and a
+blank one reads as None only in the columns that allow it. Any other cell
+raises ``ConfigError`` naming the file, data row, column and text.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -44,19 +49,49 @@ def write_json(path: str | Path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def read_csv(path: str | Path, required) -> list[dict[str, str]]:
-    """Rows of the CSV file at ``path`` as dicts.
+class MissingColumnsError(ConfigError):
+    """A CSV header lacks columns a reader needs."""
 
-    Raises ``ConfigError`` naming the file and the columns of ``required``
-    its header lacks.
-    """
+
+def _cell(text: str, cast, blank: bool):
+    """``text`` as ``cast`` (a finite float); None if blank and ``blank``."""
+    if blank and not text.strip():
+        return None
+    val = cast(text)
+    if cast is float and not math.isfinite(val):
+        raise ValueError(text)
+    return val
+
+
+def read_csv(path: str | Path, columns: dict, blank=(),
+             optional=()) -> list[tuple]:
+    """Rows of the CSV file at ``path``, each the tuple of the cells of
+    ``columns`` (name: type) in its order; the ``blank`` columns read a
+    blank cell as None. Raises ``MissingColumnsError`` naming the file and
+    the columns, other than ``optional`` ones, that its header lacks."""
     with open(path, newline="") as fh:
         lines = itertools.dropwhile(lambda line: line.startswith("#"), fh)
-        reader = csv.DictReader(lines, restval="")
-        missing = sorted(set(required) - set(reader.fieldnames or ()))
+        reader = csv.reader(lines)
+        header = next(reader, [])
+        missing = sorted(set(columns) - set(header) - set(optional))
         if missing:
-            raise ConfigError(f"{path}: missing columns {missing}")
-        return list(reader)
+            raise MissingColumnsError(f"{path}: missing columns {missing}")
+        picks = [(header.index(name) if name in header else None, name, cast,
+                  name in blank) for name, cast in columns.items()]
+        rows = []
+        for k, cells in enumerate(filter(None, reader), 1):
+            row = []
+            for i, name, cast, can_blank in picks:
+                # a short row, or an absent optional column, reads as blank
+                text = cells[i] if i is not None and i < len(cells) else ""
+                try:
+                    row.append(_cell(text, cast, can_blank))
+                except ValueError:
+                    what = "an integer" if cast is int else "a finite number"
+                    raise ConfigError(f"{path}: data row {k}, column {name}: "
+                                      f"{text!r} is not {what}") from None
+            rows.append(tuple(row))
+        return rows
 
 
 def read_grid(path: str | Path) -> np.ndarray:

@@ -42,21 +42,20 @@ from .problem import TopoProblem
 from .solver import FlowSolution
 
 
-def _parse_segment(line: str) -> Segment:
+def _parse_segment(sec, line: str) -> Segment:
     parts = line.split()
     if len(parts) < 4:
         raise InvalidInputError(f"malformed segment line: {line!r}")
-    side, lo, hi, kind = parts[0], int(parts[1]), int(parts[2]), parts[3]
-    profile, value = "constant", 0.0
+    lo, hi = (config.convert(sec, "list", tok, int) for tok in parts[1:3])
+    kind, profile, value = parts[3], "constant", 0.0
     if kind in ("inlet", "outlet_velocity"):
         if len(parts) != 6:
             raise InvalidInputError(
                 f"{kind} segment needs 'profile value': {line!r}")
-        profile, value = parts[4], float(parts[5])
+        profile, value = parts[4], config.convert(sec, "list", parts[5])
     elif len(parts) != 4:
         raise InvalidInputError(f"{kind} segment takes no profile: {line!r}")
-    return Segment(side=side, lo=lo, hi=hi, kind=kind, profile=profile,
-                   value=value)
+    return Segment(parts[0], lo, hi, kind, profile, value)
 
 
 def parse_problem_file(path: str | Path) -> tuple[TopoProblem, int, tuple]:
@@ -67,9 +66,9 @@ def parse_problem_file(path: str | Path) -> tuple[TopoProblem, int, tuple]:
     ny = config.value(gsec, "ny", cast=int)
     lx = config.value(gsec, "lx_mm", scale=1e-3)
     ly = config.value(gsec, "ly_mm", scale=1e-3)
-    seg_text = config.value(config.section(cp, "segments"), "list", cast=str)
-    segments = [_parse_segment(line)
-                for line in seg_text.strip().splitlines()]
+    ssec = config.section(cp, "segments")
+    segments = [_parse_segment(ssec, line) for line in
+                config.value(ssec, "list", cast=str).strip().splitlines()]
     if nx < 1 or ny < 1:    # before the cell sizes divide by them
         raise ConfigError(f"[grid] nx and ny must be >= 1, got {nx}, {ny}")
     grid = Grid2D(nx=nx, ny=ny, dx=lx / nx, dy=ly / ny, segments=segments)

@@ -140,6 +140,7 @@ class TestExploreParetoCop:
         ("0.1,0.2\n0.2,inf\n", "data row 2, column w_p: 'inf'"),
         ("x,0.2\n0.2,0.1\n", "data row 1, column r_th: 'x'"),
         ("0.1,\n0.2,0.1\n", "data row 1, column w_p: ''"),
+        (",0.2\n0.2,0.1\n", "data row 1, column r_th: ''"),
     ])
     def test_pareto_bad_point_exit_2(self, tmp_path, capsys, cells, where):
         src = write(tmp_path, "pts.csv", "r_th,w_p\n" + cells)
@@ -155,6 +156,23 @@ class TestExploreParetoCop:
         assert run(["pareto", "--input", src,
                     "--out", str(tmp_path / "out")]) == 0
         assert "2 non-dominated of 2 points" in capsys.readouterr().out
+
+    def test_pareto_input_from_config(self, tmp_path, capsys):
+        src = write(tmp_path, "pts.csv",
+                    "r_th,w_p\n0.1,0.2\n0.2,0.1\n0.3,0.3\n")
+        cfg = write(tmp_path, "p.ini", f"[pareto]\ninput = {src}\n")
+        assert run(["pareto", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 0
+        assert "2 non-dominated of 3 points" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("config", [False, True])
+    def test_pareto_without_input_exit_2(self, tmp_path, capsys, config):
+        argv = ["pareto", "--out", str(tmp_path / "out")]
+        if config:
+            argv += ["--config", write(tmp_path, "p.ini", "[pareto]\n")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == ("error: pareto needs --input CSV "
+                                           "(or [pareto] input=...)\n")
 
     def test_pareto_input_directory_exit_2(self, tmp_path, capsys):
         assert run(["pareto", "--input", str(tmp_path),
@@ -489,6 +507,19 @@ list =
 """)
         assert run(["topo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("line, message", [
+        ("left x 8 inlet constant 0.01", "list = 'x' is not a valid int"),
+        ("left 0 8.5 inlet constant 0.01", "list = '8.5' is not a valid int"),
+        ("left 0 8 inlet constant abc", "list = 'abc' is not a valid float"),
+        ("left 0 8 inlet constant nan", "list must be finite, got 'nan'"),
+    ])
+    def test_bad_segment_token_exit_2(self, tmp_path, capsys, line, message):
+        cfg = write(tmp_path, "t.ini", "[grid]\nnx = 8\nny = 8\nlx_mm = 2\n"
+                    "ly_mm = 2\n\n[fluid]\nname = water\n\n[segments]\n"
+                    f"list =\n    {line}\n    right 0 8 outlet_pressure\n")
+        assert run(["topo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: [segments] {message}\n"
+
     @pytest.mark.parametrize("key", ["nx", "ny"])
     def test_zero_cells_exit_2(self, tmp_path, capsys, key):
         text = """
@@ -568,6 +599,30 @@ class TestReduceGci:
         assert ((noted / "reduction.json").read_text()
                 == (plain / "reduction.json").read_text())
 
+    def test_reduce_tcr_model(self, tmp_path):
+        head = REDUCE_CSV.split("row,col")[0].replace(
+            "# model = diode\n# sensitivity_mv_per_c = -1.55\n",
+            "# model = tcr\n# tcr_ppm_per_c = 3553\n")
+        # readings R = R0 (1 + tcr dT) over a 100 Ohm reference map
+        dT = np.array([10.0, 20.0, 15.0, 12.5])
+        rows = "".join(f"{i // 2},{i % 2},{100 * (1 + 3553e-6 * t)!r},100\n"
+                       for i, t in enumerate(dT.tolist()))
+        cfg = write(tmp_path, "ds.csv",
+                    head + "row,col,reading_on,reading_off\n" + rows)
+        out = tmp_path / "out"
+        assert run(["reduce", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "reduction.json").read_text())
+        assert payload["dT_avg_K"] == pytest.approx(dT.mean(), rel=1e-9)
+        assert payload["r_th_K_W"] == pytest.approx(dT.mean() / 50, rel=1e-9)
+
+    def test_unknown_sensor_model_exit_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "ds.csv",
+                    REDUCE_CSV.replace("model = diode", "model = rtd"))
+        assert run(["reduce", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ("error: [header] unknown sensor "
+                                           "model 'rtd'\n")
+
     def test_empty_dataset_exit_2(self, tmp_path):
         cfg = write(tmp_path, "ds.csv",
                     "row,col,reading_on,reading_off\n")
@@ -624,6 +679,13 @@ class TestReduceGci:
                     "[gci]\nf1 = 0\nf2 = 0.9\nf3 = 1.0\n")
         assert run(["gci", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "f1 and f2 must be nonzero" in capsys.readouterr().err
+
+
+FIXTURE_HEADER = ("material,authors,year,application,coolant,n_jets,"
+                  "nozzle_diameter,chip_area_cm2,power_or_flux,flow,dp,pump_w,"
+                  "thermal_metric,thermal_metric_unit")
+FIXTURE_ROW = ("Si,E.N. Wang,2004,TTV,Water,4,76 um,1,4 W,8 mL/min,47.57 kPa,,"
+               "4.4,W/cm2K(hmax)")
 
 
 class TestBenchmark:
@@ -706,6 +768,33 @@ class TestBenchmark:
         err = capsys.readouterr().err
         assert "column" in err and "authors" in err
 
+    @pytest.mark.parametrize("column, text, message", [
+        ("thermal_metric", "nan",
+         "data row 1, column thermal_metric: 'nan' is not a finite number"),
+        ("pump_w", "inf",
+         "data row 1, column pump_w: 'inf' is not a finite number"),
+        ("chip_area_cm2", "-2",
+         "E.N. Wang 2004: chip_area_cm2 must be > 0, got -2.0"),
+        ("thermal_metric", "0",
+         "E.N. Wang 2004: thermal_metric must be > 0, got 0.0"),
+        ("thermal_metric", "1e-320",
+         "E.N. Wang 2004: R_th*A must be finite and > 0, got inf"),
+        ("pump_w", "-1",
+         "E.N. Wang 2004: W_p/A must be finite and >= 0, got -1.0"),
+        ("dp", "nan kPa",
+         "E.N. Wang 2004: W_p/A must be finite and >= 0, got nan"),
+    ])
+    def test_bad_fixture_point_exit_2(self, tmp_path, capsys, column, text,
+                                      message):
+        row = dict(zip(FIXTURE_HEADER.split(","), FIXTURE_ROW.split(",")))
+        row[column] = text
+        fixture = write(tmp_path, "fixture.csv", FIXTURE_HEADER + "\n"
+                        + ",".join(row.values()) + "\n")
+        out = tmp_path / "out"
+        assert run(["benchmark", "--fixture", fixture, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {fixture}: {message}\n"
+        assert not (out / "benchmark.csv").exists()
+
     def test_determinism(self, tmp_path):
         run(["benchmark", "--out", str(tmp_path / "a")])
         run(["benchmark", "--out", str(tmp_path / "b")])
@@ -721,11 +810,6 @@ def _read_nu_catalog(path, out):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-FIXTURE_HEADER = ("material,authors,year,application,coolant,n_jets,"
-                  "nozzle_diameter,chip_area_cm2,power_or_flux,flow,dp,pump_w,"
-                  "thermal_metric,thermal_metric_unit")
 
 
 def _predict_with(tmp_path, old, new):
@@ -751,6 +835,22 @@ MISSING_COLUMN_CASES = [
 ]
 
 
+BAD_CELL_CASES = [
+    ("fluids", "name,density_kg_m3,viscosity_kg_ms,cp_J_kgK,k_W_mK,"
+     "ref_temp_C\nbrine,1100,{bad},3500,0.5,20\n",
+     "data row 1, column viscosity_kg_ms"),
+    ("solids", "name,k_W_mK\ndiamond,{bad}\n", "data row 1, column k_W_mK"),
+    ("nu_catalog", "label,c,m,pr_exponent,re_min,re_max,basis\n"
+     "x,1,0.5,,,,junction\ny,1,0.5,,{bad},,junction\n",
+     "data row 2, column re_min"),
+    ("dataset", "# power_w = 50\nrow,col,reading_on,reading_off\n"
+     "0,0,0.5,0.6\n0,1,{bad},0.6\n", "data row 2, column reading_on"),
+    ("fixture", FIXTURE_HEADER + "\n" + FIXTURE_ROW.replace("4.4", "{bad}")
+     + "\n", "data row 1, column thermal_metric"),
+    ("points", "r_th,w_p\n0.1,0.2\n0.2,{bad}\n", "data row 2, column w_p"),
+]
+
+
 class TestTableInputs:
     """Every CSV input is read by one routine with one column check."""
 
@@ -758,7 +858,25 @@ class TestTableInputs:
                              ids=[case[0] for case in MISSING_COLUMN_CASES])
     def test_missing_columns_named_with_file(self, tmp_path, capsys, kind,
                                              text, message):
-        invoke = {
+        path = write(tmp_path, f"{kind}.csv", text)
+        assert self.invoke(tmp_path, kind)(path, str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err and message in err
+
+    @pytest.mark.parametrize("bad", ["abc", "nan"])
+    @pytest.mark.parametrize("kind, text, where", BAD_CELL_CASES,
+                             ids=[case[0] for case in BAD_CELL_CASES])
+    def test_bad_cell_named_with_file_row_and_column(self, tmp_path, capsys,
+                                                     kind, text, where, bad):
+        path = write(tmp_path, f"{kind}.csv", text.format(bad=bad))
+        assert self.invoke(tmp_path, kind)(path, str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == (f"error: {path}: {where}: "
+                                           f"'{bad}' is not a finite number\n")
+
+    @staticmethod
+    def invoke(tmp_path, kind):
+        """The command, or the library call, that reads a ``kind`` table."""
+        return {
             "fluids": _predict_with(tmp_path, "[fluid]\nname = water",
                                     "[fluid]\nname = brine\n"
                                     "catalog = {path}"),
@@ -773,10 +891,6 @@ class TestTableInputs:
             "points": lambda path, out: run(["pareto", "--input", path,
                                              "--out", out]),
         }[kind]
-        path = write(tmp_path, f"{kind}.csv", text)
-        assert invoke(path, str(tmp_path / "out")) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and path in err and message in err
 
     def test_short_catalog_row_exit_2(self, tmp_path, capsys):
         catalog = write(tmp_path, "fluids.csv",

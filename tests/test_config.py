@@ -241,3 +241,12 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     cfg.write_text("no section header\n")
     assert run(["gci", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "bad.ini" in capsys.readouterr().err
+
+
+def test_repeated_key_raises_config_error(tmp_path):
+    cfg = tmp_path / "t.ini"
+    cfg.write_text(render(MINIMAL["topo"], "").replace(
+        "nx = 8\n", "nx = 8\nnx = 9\n"))
+    with pytest.raises(ConfigError, match="option 'nx' in section 'grid' "
+                                          "already exists"):
+        topo.parse_problem_file(cfg)

@@ -2,9 +2,11 @@
 
 INI files (and the ``#`` header of a data file) are parsed only in
 ``jetcool.config``, CSV and JSON tables only in ``jetcool.tables``, and
-range checks go through ``errors.check`` rather than a private helper. A
-sweep stays columns: no per-design row type or ``rows()`` splitter. The
-full saddle-point matrix of the flow solver is built only in the tests.
+range checks go through ``errors.check`` rather than a private helper. CSV
+cells are converted only in ``jetcool.tables``: no caller turns a cell into
+a number or decides what a blank or bad cell means. A sweep stays columns:
+no per-design row type or ``rows()`` splitter. The full saddle-point matrix
+of the flow solver is built only in the tests.
 """
 
 from pathlib import Path
@@ -17,6 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "jetcool"
 CONFINED = [
     ("ConfigParser(", "config.py"),
     ("csv.DictReader(", "tables.py"),
+    ("csv.reader(", "tables.py"),
     ("json.dumps(", "tables.py"),
     ("np.loadtxt(", "tables.py"),
     ("_require_finite", None),
@@ -24,6 +27,10 @@ CONFINED = [
     ("SweepRow", None),
     ("def rows(", None),
     ("def matrix(", None),
+    ("def _finite", None),
+    ("def opt(", None),
+    ("float(row[", None),
+    ("int(r[", None),
 ]
 
 

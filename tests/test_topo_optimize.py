@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from jetcool.props import water
 from jetcool.topo import (DensityField, Grid2D, Segment, TopoProblem,
                           export_density, objective, optimize,
                           parse_problem_file, write_history)
-from jetcool.topo.optimize import _project
+from jetcool.topo.optimize import FLAT_RUN, _project
 from jetcool.topo.solver import StokesOperator
 
 
@@ -75,6 +77,29 @@ class TestOptimize:
         assert res.status == "stationary"
         assert len(res.history) == 1
         assert "no_descent_step_available" in res.warnings
+
+    def test_zero_gradient_converges_at_once(self):
+        # one outlet takes all the flow, so with beta = 0 the objective is
+        # the vanishing uniformity term and its gradient is exactly 0
+        ny = 8
+        grid = Grid2D(16, ny, 2e-3 / 16, 1e-3 / ny, [
+            Segment("left", 0, ny, "inlet", "parabolic", 0.01),
+            Segment("right", 0, ny, "outlet_pressure")])
+        problem = TopoProblem(grid=grid, fluid=water(), beta=0.0,
+                              volume_fraction=1.0)
+        res = optimize(problem, DensityField.uniform(grid, 0.5), max_iters=5)
+        assert res.status == "converged"
+        assert len(res.history) == 1 and not res.warnings
+
+    def test_flat_run_converges(self, monkeypatch):
+        # with a tolerance of 1 every accepted step counts as flat
+        monkeypatch.setattr(sys.modules["jetcool.topo.optimize"],
+                            "FLAT_REL_TOL", 1.0)
+        problem = TopoProblem(grid=small_manifold(20, 6), fluid=water(),
+                              beta=0.1, volume_fraction=0.4)
+        res = optimize(problem, max_iters=50)
+        assert res.status == "converged"
+        assert len(res.history) == FLAT_RUN + 1
 
     def test_all_fluid_minimizes_dissipation(self):
         ny = 8
