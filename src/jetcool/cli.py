@@ -4,12 +4,17 @@ Commands: predict, explore, pareto, cop, hotspot, topo, reduce, gci,
 benchmark. Configs are INI files with the units fixed at the boundary
 (mm, mL/min, degC, W); everything is SI internally. Exit codes: 0 success,
 2 input error, 3 infeasible/non-physical, 4 solver failure.
+
+The argument parser is built once per process, and ``run`` calls the
+``cmd_<command>`` function this module holds at call time. Only ``topo``
+imports ``jetcool.topo``, and with it scipy.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import math
 import sys
@@ -17,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import config, explorer, metrology, performance, tables, topo
+from . import config, explorer, metrology, performance, tables
 from .errors import (ConfigError, InfeasibleError, InvalidInputError,
                      SolverError, check)
 from .explorer import M3S_PER_MLPM
@@ -274,6 +279,7 @@ def cmd_hotspot(args) -> int:
 
 def _topo_selftest() -> int:
     """Plane-channel analytic check: RMS error order vs the formal order 2."""
+    from . import topo
     from .props import water
     errs = []
     for ny in (8, 16, 32):
@@ -304,6 +310,7 @@ def cmd_topo(args) -> int:
         return _topo_selftest()
     if not args.config:
         raise ConfigError("topo needs --config PROBLEM_FILE (or --selftest)")
+    from . import topo
     problem, max_iters, q_schedule = topo.parse_problem_file(args.config)
     result = topo.optimize(problem, max_iters=max_iters,
                            q_schedule=q_schedule)
@@ -391,18 +398,21 @@ _FLOW_UNITS = {"ml/min": M3S_PER_MLPM, "l/min": 1e-3 / 60.0}
 _DP_UNITS = {"pa": 1.0, "kpa": 1e3, "bar": 1e5}
 
 
-def _parse_quantity(text: str, units: dict) -> float | None:
-    text = text.strip().lower()
-    if not text:
+def _parse_quantity(text: str, units: dict, where: str) -> float | None:
+    """A ``<number> <unit>`` cell in SI units, None if blank; any other
+    cell raises ``ConfigError`` naming ``where``."""
+    lowered = text.strip().lower()
+    if not lowered:
         return None
     # longest suffix first so "kpa" is not eaten by "pa"
     for unit in sorted(units, key=len, reverse=True):
-        if text.endswith(unit):
+        if lowered.endswith(unit):
             try:
-                return float(text[:-len(unit)].strip()) * units[unit]
+                return float(lowered[:-len(unit)]) * units[unit]
             except ValueError:
-                return None
-    return None
+                break
+    raise ConfigError(f"{where}: {text!r} is not a number in one of the "
+                      f"units {', '.join(units)}")
 
 
 _FIXTURE_COLUMNS = dict(authors=str, year=str, material=str,
@@ -437,11 +447,11 @@ def cmd_benchmark(args) -> int:
         check(r_star == "" or 0 < r_star < math.inf, "{}: {}: R_th*A must be "
               "finite and > 0, got {}", fixture, label, r_star,
               error=ConfigError)
-        if pump is None:
-            flow_m3s = _parse_quantity(flow, _FLOW_UNITS)
-            dp_pa = _parse_quantity(dp, _DP_UNITS)
-            if flow_m3s is not None and dp_pa is not None:
-                pump = flow_m3s * dp_pa
+        flow_m3s = _parse_quantity(flow, _FLOW_UNITS,
+                                   f"{fixture}: {label}: column flow")
+        dp_pa = _parse_quantity(dp, _DP_UNITS, f"{fixture}: {label}: column dp")
+        if pump is None and flow_m3s is not None and dp_pa is not None:
+            pump = flow_m3s * dp_pa
         w_star = ""
         if pump is not None and area is not None:
             w_star = pump / area
@@ -472,6 +482,7 @@ def cmd_benchmark(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jetcool",
@@ -485,23 +496,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="format for report payloads (tabular artifacts "
                             "are always CSV)")
 
-    for name, fn in (("predict", cmd_predict), ("explore", cmd_explore),
-                     ("cop", cmd_cop), ("hotspot", cmd_hotspot),
-                     ("reduce", cmd_reduce), ("gci", cmd_gci)):
-        p = sub.add_parser(name)
-        common(p)
-        p.set_defaults(fn=fn)
+    for name in ("predict", "explore", "cop", "hotspot", "reduce", "gci"):
+        common(sub.add_parser(name))
 
     p = sub.add_parser("pareto")
     common(p)
     p.add_argument("--input", help="CSV of points (sweep output or r_th,w_p)")
-    p.set_defaults(fn=cmd_pareto)
 
     p = sub.add_parser("topo")
     common(p)
     p.add_argument("--selftest", action="store_true",
                    help="run the analytic channel-flow convergence check")
-    p.set_defaults(fn=cmd_topo)
 
     p = sub.add_parser("benchmark")
     common(p)
@@ -510,15 +515,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--user-pump-w", type=float, default=None)
     p.add_argument("--user-area-cm2", type=float, default=None)
     p.add_argument("--user-label", default="this-work")
-    p.set_defaults(fn=cmd_benchmark)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (InvalidInputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

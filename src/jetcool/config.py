@@ -102,7 +102,7 @@ def _named(sec, builtin, load):
     optional ``catalog`` file (read with ``load``), or None without one."""
     catalog = builtin()
     if "catalog" in sec:
-        catalog.update(load(sec["catalog"]))
+        catalog = {**catalog, **load(sec["catalog"])}
     if "name" not in sec:
         return None
     name = sec["name"]

@@ -217,7 +217,7 @@ def eval_catalog(entry: PowerLawCorrelation, re: float,
 
 # in the order of the PowerLawCorrelation fields: the columns after basis
 # may be blank, and the last two absent
-_CATALOG_COLUMNS = dict(label=str, c=float, m=float, basis=str,
+_CATALOG_COLUMNS = dict(label=str, c=float, m=float, basis=Basis,
                         pr_exponent=float, re_min=float, re_max=float,
                         h_over_d_exponent=float, xn_over_d_exponent=float)
 
@@ -232,8 +232,7 @@ def load_catalog(path: str | Path) -> dict[str, PowerLawCorrelation]:
     names = list(_CATALOG_COLUMNS)
     rows = tables.read_csv(path, _CATALOG_COLUMNS, blank=names[4:],
                            optional=names[7:])
-    return {label: PowerLawCorrelation(label, c, m, Basis(basis), *rest)
-            for label, c, m, basis, *rest in rows}
+    return {row[0]: PowerLawCorrelation(*row) for row in rows}
 
 
 def builtin_catalog() -> dict[str, PowerLawCorrelation]:

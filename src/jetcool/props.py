@@ -6,13 +6,18 @@ schema accepted for user catalogs:
 
     name,density_kg_m3,viscosity_kg_ms,cp_J_kgK,k_W_mK,ref_temp_C
     name,k_W_mK
+
+The built-in catalogs are read once per process and shared: each is a
+read-only mapping, so a caller that adds entries merges into a copy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 from . import tables
 from .errors import check
@@ -113,13 +118,15 @@ def load_solids(path: str | Path) -> dict[str, SolidProps]:
             for row in tables.read_csv(path, _SOLID_COLUMNS)}
 
 
-def builtin_fluids() -> dict[str, FluidProps]:
+@functools.cache
+def builtin_fluids() -> MappingProxyType[str, FluidProps]:
     """Built-in coolant catalog (CFD water plus the literature coolant survey)."""
-    return load_fluids(tables.DATA_DIR / "fluids.csv")
+    return MappingProxyType(load_fluids(tables.DATA_DIR / "fluids.csv"))
 
 
-def builtin_solids() -> dict[str, SolidProps]:
-    return load_solids(tables.DATA_DIR / "solids.csv")
+@functools.cache
+def builtin_solids() -> MappingProxyType[str, SolidProps]:
+    return MappingProxyType(load_solids(tables.DATA_DIR / "solids.csv"))
 
 
 #: Default coolant: DI water at 10 degC as used for every thermal test.

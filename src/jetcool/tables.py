@@ -3,10 +3,11 @@
 Numbers are written with 10 significant digits and cells are joined with
 bare commas, one row per line. A CSV read skips leading ``#`` lines, checks
 its header for the columns asked for and reads a short row as empty cells.
-Each column is typed ``str``, ``int`` or ``float``, and only the columns
-asked for are converted: a numeric cell must hold a finite number, and a
-blank one reads as None only in the columns that allow it. Any other cell
-raises ``ConfigError`` naming the file, data row, column and text.
+Each column is typed ``str``, ``int``, ``float`` or an ``Enum`` of string
+values, and only the columns asked for are converted: a numeric cell must
+hold a finite number, an enum cell one of the values, and a blank one reads
+as None only in the columns that allow it. Any other cell raises
+``ConfigError`` naming the file, data row, column and text.
 """
 
 from __future__ import annotations
@@ -87,7 +88,9 @@ def read_csv(path: str | Path, columns: dict, blank=(),
                 try:
                     row.append(_cell(text, cast, can_blank))
                 except ValueError:
-                    what = "an integer" if cast is int else "a finite number"
+                    what = ("an integer" if cast is int else
+                            "a finite number" if cast is float else
+                            f"one of {', '.join(m.value for m in cast)}")
                     raise ConfigError(f"{path}: data row {k}, column {name}: "
                                       f"{text!r} is not {what}") from None
             rows.append(tuple(row))

@@ -1,11 +1,16 @@
+import argparse
 import csv
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jetcool import topo
+import jetcool
+from jetcool import cli, props, topo
 from jetcool.cli import run
 from jetcool.correlations import load_catalog
 from jetcool.errors import ConfigError
@@ -688,6 +693,14 @@ FIXTURE_ROW = ("Si,E.N. Wang,2004,TTV,Water,4,76 um,1,4 W,8 mL/min,47.57 kPa,,"
                "4.4,W/cm2K(hmax)")
 
 
+def fixture_with(tmp_path, **cells):
+    """A one-row benchmark fixture: FIXTURE_ROW with ``cells`` replaced."""
+    row = dict(zip(FIXTURE_HEADER.split(","), FIXTURE_ROW.split(",")))
+    row.update(cells)
+    return write(tmp_path, "fixture.csv", FIXTURE_HEADER + "\n"
+                 + ",".join(row.values()) + "\n")
+
+
 class TestBenchmark:
     def test_builtin_fixture_points(self, tmp_path):
         out = tmp_path / "out"
@@ -786,13 +799,24 @@ class TestBenchmark:
     ])
     def test_bad_fixture_point_exit_2(self, tmp_path, capsys, column, text,
                                       message):
-        row = dict(zip(FIXTURE_HEADER.split(","), FIXTURE_ROW.split(",")))
-        row[column] = text
-        fixture = write(tmp_path, "fixture.csv", FIXTURE_HEADER + "\n"
-                        + ",".join(row.values()) + "\n")
+        fixture = fixture_with(tmp_path, **{column: text})
         out = tmp_path / "out"
         assert run(["benchmark", "--fixture", fixture, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {fixture}: {message}\n"
+        assert not (out / "benchmark.csv").exists()
+
+    @pytest.mark.parametrize("column, text, units", [
+        ("flow", "8 gpm", "ml/min, l/min"), ("flow", "mL/min", "ml/min, l/min"),
+        ("dp", "47.57 psi", "pa, kpa, bar"), ("dp", "~47 kPa", "pa, kpa, bar")])
+    @pytest.mark.parametrize("pump_w", ["", "0.5"])
+    def test_unparsable_quantity_exit_2(self, tmp_path, capsys, column, text,
+                                        units, pump_w):
+        fixture = fixture_with(tmp_path, pump_w=pump_w, **{column: text})
+        out = tmp_path / "out"
+        assert run(["benchmark", "--fixture", fixture, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {fixture}: E.N. Wang 2004: column {column}: {text!r} is "
+            f"not a number in one of the units {units}\n")
         assert not (out / "benchmark.csv").exists()
 
     def test_determinism(self, tmp_path):
@@ -902,3 +926,86 @@ class TestTableInputs:
         assert run(["predict", "--config", cfg,
                     "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+USER_FLUIDS = ("name,density_kg_m3,viscosity_kg_ms,cp_J_kgK,k_W_mK,ref_temp_C\n"
+               "brine,1100,0.002,3500,0.5,20\n")
+
+
+class TestPerCallCost:
+    """The parser and the built-in catalogs are built once per process and
+    shared between runs without carrying state; only topo loads scipy."""
+
+    def test_scipy_loaded_only_for_topo(self, tmp_path):
+        cfg = write(tmp_path, "p.ini", PREDICT_INI)
+        argv = ["predict", "--config", cfg, "--out", str(tmp_path / "out")]
+        code = ("import sys\n"
+                "import jetcool.cli\n"
+                f"assert jetcool.cli.run({argv!r}) == 0\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.startswith(('scipy', 'jetcool.topo'))))\n")
+        src = str(Path(jetcool.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_parser_built_once_without_state_leaks(self, tmp_path,
+                                                   monkeypatch):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kwargs):
+            parsers.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        cfg = write(tmp_path, "p.ini", PREDICT_INI)
+        assert run(["predict", "--config", cfg, "--format", "csv",
+                    "--out", str(tmp_path / "a")]) == 0
+        assert run(["predict", "--config", cfg,
+                    "--out", str(tmp_path / "b")]) == 0
+        assert run(["topo", "--config", cfg, "--out", str(tmp_path / "c")]) \
+            == 2
+        assert len(parsers) == 3
+        assert all(parser is parsers[0] for parser in parsers)
+        assert [f.name for f in (tmp_path / "a").iterdir()] == ["report.csv"]
+        assert [f.name for f in (tmp_path / "b").iterdir()] == ["report.json"]
+
+    def test_patched_command_is_called(self, tmp_path, monkeypatch):
+        cfg = write(tmp_path, "g.ini", "[gci]\nf1 = 0.85\nf2 = 0.9\nf3 = 1.0\n")
+        out = str(tmp_path / "out")
+        assert run(["gci", "--config", cfg, "--out", out]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_gci",
+                            lambda args: calls.append(args.config) or 7)
+        assert run(["gci", "--config", cfg, "--out", out]) == 7
+        assert calls == [cfg]
+
+    @pytest.mark.parametrize("builtin", [props.builtin_fluids,
+                                         props.builtin_solids])
+    def test_builtin_catalog_shared_and_read_only(self, builtin):
+        catalog = builtin()
+        assert builtin() is catalog
+        name = next(iter(catalog))
+        with pytest.raises(TypeError):
+            catalog["other"] = catalog[name]
+        with pytest.raises(TypeError):
+            del catalog[name]
+
+    def test_user_catalog_entry_not_kept(self, tmp_path, capsys):
+        catalog = write(tmp_path, "fluids.csv", USER_FLUIDS)
+        brine = PREDICT_INI.replace("[fluid]\nname = water",
+                                    "[fluid]\nname = brine")
+        cfg = write(tmp_path, "a.ini", brine.replace(
+            "name = brine", f"name = brine\ncatalog = {catalog}"))
+        assert run(["predict", "--config", cfg,
+                    "--out", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        cfg = write(tmp_path, "b.ini", brine)
+        assert run(["predict", "--config", cfg,
+                    "--out", str(tmp_path / "b")]) == 2
+        assert "[fluid] unknown fluid 'brine'" in capsys.readouterr().err
+        assert "brine" not in props.builtin_fluids()

@@ -7,7 +7,8 @@ from jetcool.correlations import (Basis, HotspotHtcModel, NozzlePressureModel,
                                   builtin_catalog, eval_catalog, fit_htc_model,
                                   fit_power_law, g_bi, load_catalog,
                                   nu_f_predict, nu_to_htc)
-from jetcool.errors import InvalidInputError, UnderdeterminedFitError
+from jetcool.errors import (ConfigError, InvalidInputError,
+                            UnderdeterminedFitError)
 from jetcool.correlations import friction_predict
 
 # frozen from direct evaluation of the fitted expressions
@@ -171,6 +172,17 @@ class TestCatalog:
         assert cat["mine"].c == 0.5
         assert eval_catalog(cat["mine"], 500.0).value == pytest.approx(
             0.5 * 500 ** 0.6, rel=1e-12)
+
+    def test_unknown_basis_config_error(self, tmp_path):
+        path = tmp_path / "cat.csv"
+        path.write_text("label,c,m,pr_exponent,re_min,re_max,basis\n"
+                        "mine,0.5,0.6,,,,junction\n"
+                        "other,0.5,0.6,,,,Junction\n")
+        with pytest.raises(ConfigError) as exc:
+            load_catalog(path)
+        assert str(exc.value) == (
+            f"{path}: data row 2, column basis: 'Junction' is not one of "
+            "junction, fluid_interface, stagnation")
 
 
 class TestFitPowerLaw:

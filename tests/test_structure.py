@@ -6,7 +6,8 @@ range checks go through ``errors.check`` rather than a private helper. CSV
 cells are converted only in ``jetcool.tables``: no caller turns a cell into
 a number or decides what a blank or bad cell means. A sweep stays columns:
 no per-design row type or ``rows()`` splitter. The full saddle-point matrix
-of the flow solver is built only in the tests.
+of the flow solver is built only in the tests, and scipy is imported only by
+the topology solver, so no other command pays for loading it.
 """
 
 from pathlib import Path
@@ -22,6 +23,8 @@ CONFINED = [
     ("csv.reader(", "tables.py"),
     ("json.dumps(", "tables.py"),
     ("np.loadtxt(", "tables.py"),
+    ("import scipy", "topo/solver.py"),
+    ("from scipy", "topo/solver.py"),
     ("_require_finite", None),
     ("_parse_dataset_header", None),
     ("SweepRow", None),
