@@ -55,6 +55,13 @@ def _write_payload(args, payload: dict, stem: str) -> None:
         tables.write_json(out / f"{stem}.json", payload)
 
 
+#: Summary metrics as (``PerformanceReport`` field, report key/sweep column).
+SUMMARY = (("re", "re"), ("nu_f", "nu_f"), ("nu_j", "nu_j"),
+           ("htc", "htc_W_m2K"), ("r_th", "r_th_K_W"),
+           ("r_star", "r_star_Kcm2_W"), ("dp", "dp_Pa"), ("w_p", "wp_W"),
+           ("cop", "cop"))
+
+
 def _report_dict(report: performance.PerformanceReport) -> dict:
     return {
         "re": report.re, "pr": report.pr, "nu_f": report.nu_f,
@@ -94,20 +101,19 @@ def cmd_predict(args) -> int:
                           performance.DT_MAX_ALLOW_DEFAULT)
     report = performance.evaluate_design(array, fluid, solid, op, dt_max)
     breakdown = performance.pressure_decomposition(
-        array.cell, fluid, report.flow_per_nozzle)
+        array, fluid, report.flow_per_nozzle)
     payload = _report_dict(report)
     payload["pressure_breakdown_Pa"] = dataclasses.asdict(breakdown)
     payload["inputs"] = {
         "chip_side_mm": array.chip_side * 1e3, "n": array.n,
-        "di_over_l": array.cell.di_over_L, "do_over_l": array.cell.do_over_L,
-        "h_over_l": array.cell.H_over_L, "t_over_l": array.cell.t_over_L,
-        "tc_mm": array.cell.t_c * 1e3, "fluid": fluid.name,
+        "di_over_l": array.di_over_L, "do_over_l": array.do_over_L,
+        "h_over_l": array.H_over_L, "t_over_l": array.t_over_L,
+        "tc_mm": array.tc * 1e3, "fluid": fluid.name,
         "solid": solid.name, "flow_mlpm": op.flow_total / M3S_PER_MLPM,
         "power_w": op.chip_power,
     }
     _write_payload(args, payload, "report")
-    for key in ("re", "nu_f", "nu_j", "htc_W_m2K", "r_th_K_W",
-                "r_star_Kcm2_W", "dp_Pa", "wp_W", "cop"):
+    for _, key in SUMMARY:
         print(f"{key:>14}  {tables.fmt(payload[key])}")
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -115,8 +121,7 @@ def cmd_predict(args) -> int:
 
 
 SWEEP_HEADER = ("n", "di_over_L", "do_over_L", "H_over_L", "t_over_L",
-                "flow_mlpm", "re", "nu_f", "nu_j", "htc_W_m2K", "r_th_K_W",
-                "r_star_Kcm2_W", "dp_Pa", "wp_W", "cop", "status", "warnings")
+                "flow_mlpm", *(c for _, c in SUMMARY), "status", "warnings")
 
 
 def _build_space(cp, name: str) -> explorer.DesignSpace:
@@ -151,10 +156,9 @@ def _write_sweep_csv(result: explorer.SweepResult, path: Path) -> None:
     """One line per design; infeasible designs (flow 0) leave the metrics
     empty."""
     r = result.report
-    feasible = zip(*(m.tolist() for m in (r.re, r.nu_f, r.nu_j, r.htc, r.r_th,
-                                          r.r_star, r.dp, r.w_p, r.cop)),
+    feasible = zip(*(getattr(r, field).tolist() for field, _ in SUMMARY),
                    itertools.repeat("ok"), r.warnings)
-    infeasible = ("",) * 9 + ("infeasible", "")
+    infeasible = ("",) * len(SUMMARY) + ("infeasible", "")
     flow = (result.flow / M3S_PER_MLPM).tolist()
     tables.write_csv(path, SWEEP_HEADER, (
         (*design, v, *(next(feasible) if ok else infeasible))
@@ -308,8 +312,6 @@ def _topo_selftest() -> int:
 def cmd_topo(args) -> int:
     if args.selftest:
         return _topo_selftest()
-    if not args.config:
-        raise ConfigError("topo needs --config PROBLEM_FILE (or --selftest)")
     from . import topo
     problem, max_iters, q_schedule = topo.parse_problem_file(args.config)
     result = topo.optimize(problem, max_iters=max_iters,
@@ -327,8 +329,6 @@ def cmd_topo(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    if not args.config:
-        raise ConfigError("reduce needs --config DATASET_CSV")
     head = config.header(args.config)
     rows = tables.read_csv(args.config, dict(
         row=int, col=int, reading_on=float, reading_off=float))
@@ -489,24 +489,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="multi-jet impingement cooler design toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="INI config / problem / dataset file")
+    def common(p, required=False, config=None):
+        (config or p).add_argument("--config", required=required,
+                                   help="INI config / problem / dataset file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="json",
                        help="format for report payloads (tabular artifacts "
                             "are always CSV)")
 
     for name in ("predict", "explore", "cop", "hotspot", "reduce", "gci"):
-        common(sub.add_parser(name))
+        common(sub.add_parser(name), required=True)
 
     p = sub.add_parser("pareto")
     common(p)
     p.add_argument("--input", help="CSV of points (sweep output or r_th,w_p)")
 
     p = sub.add_parser("topo")
-    common(p)
-    p.add_argument("--selftest", action="store_true",
-                   help="run the analytic channel-flow convergence check")
+    source = p.add_mutually_exclusive_group(required=True)
+    common(p, config=source)
+    source.add_argument("--selftest", action="store_true",
+                        help="run the analytic channel-flow convergence check")
 
     p = sub.add_parser("benchmark")
     common(p)
@@ -519,7 +521,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:       # argparse's --help (0) or usage error (2)
+        return exc.code
     try:
         return globals()[f"cmd_{args.command}"](args)
     except (InvalidInputError, OSError, ValueError) as exc:

@@ -3,7 +3,9 @@
 The repeating tile of an N x N array is the unit cell: one inlet nozzle of
 diameter d_i surrounded by outlets of diameter d_o, on a pitch
 L = chip_side / N, under a cavity of height H behind a nozzle plate of
-thickness t, cooling a chip of thickness t_c. All lengths in meters. Every
+thickness t, cooling a chip of thickness tc. A design is one
+``CoolerArray`` of the chip side, N, the four ratios d_i/L, d_o/L, H/L and
+t/L, and tc; the lengths are derived from them. All lengths in meters. Every
 length, ratio and count may also be an array, one element per design; the
 checks then hold element by element.
 """
@@ -21,65 +23,60 @@ HEATED_FRACTION_DEFAULT = 0.75
 
 
 @dataclass(frozen=True)
-class UnitCell:
-    L: float
-    d_i: float
-    d_o: float
-    H: float
-    t: float
-    t_c: float
-
-    def __post_init__(self) -> None:
-        for name in ("L", "d_i", "d_o", "H", "t", "t_c"):
-            val = getattr(self, name)
-            check((val > 0) & (val < math.inf),
-                  "{} must be finite and > 0, got {}", name, val,
-                  error=InvalidGeometryError)
-        check(self.d_i < self.L, "inlet diameter {} must be smaller than the "
-              "pitch {}", self.d_i, self.L, error=InvalidGeometryError)
-        check(self.d_o < self.L, "outlet diameter {} must be smaller than the "
-              "pitch {}", self.d_o, self.L, error=InvalidGeometryError)
-
-    @property
-    def di_over_L(self) -> float:
-        return self.d_i / self.L
-
-    @property
-    def do_over_L(self) -> float:
-        return self.d_o / self.L
-
-    @property
-    def H_over_L(self) -> float:
-        return self.H / self.L
-
-    @property
-    def t_over_L(self) -> float:
-        return self.t / self.L
-
-    @property
-    def nozzle_area(self) -> float:
-        """Inlet nozzle cross-section pi*d_i^2/4 [m2]."""
-        return math.pi * self.d_i ** 2 / 4.0
-
-
-@dataclass(frozen=True)
 class CoolerArray:
-    """Square chip with an N x N inlet-nozzle array (pitch L = chip_side/n)."""
+    """Square chip with an N x N inlet-nozzle array, given by its unit-cell
+    ratios: pitch L = chip_side/n, and d_i, d_o, H and t as fractions of L."""
 
     chip_side: float
     n: int
-    cell: UnitCell
+    di_over_L: float
+    do_over_L: float
+    H_over_L: float
+    t_over_L: float
+    tc: float
     heated_fraction: float = HEATED_FRACTION_DEFAULT
 
     def __post_init__(self) -> None:
         check(self.n >= 1, "n must be >= 1, got {}", self.n,
               error=InvalidGeometryError)
+        for name, val in (("d_i/L", self.di_over_L),
+                          ("d_o/L", self.do_over_L)):
+            check((val > 0) & (val < 1), "{} must be in (0, 1), got {}", name,
+                  val, error=InvalidGeometryError)
+        for name in ("L", "d_i", "d_o", "H", "t", "tc", "nozzle_area"):
+            val = getattr(self, name)
+            check((val > 0) & (val < math.inf),
+                  "{} must be finite and > 0, got {}", name, val,
+                  error=InvalidGeometryError)
         hf = self.heated_fraction
         check((hf > 0) & (hf <= 1), "heated_fraction must be in (0, 1], got {}",
               hf, error=InvalidGeometryError)
-        check(abs(self.cell.L * self.n - self.chip_side)
-              <= 1e-12 * self.chip_side, "cell pitch {} x n {} != chip side {}",
-              self.cell.L, self.n, self.chip_side, error=InvalidGeometryError)
+
+    @property
+    def L(self) -> float:
+        """Pitch [m]."""
+        return self.chip_side / self.n
+
+    @property
+    def d_i(self) -> float:
+        return self.di_over_L * self.L
+
+    @property
+    def d_o(self) -> float:
+        return self.do_over_L * self.L
+
+    @property
+    def H(self) -> float:
+        return self.H_over_L * self.L
+
+    @property
+    def t(self) -> float:
+        return self.t_over_L * self.L
+
+    @property
+    def nozzle_area(self) -> float:
+        """Inlet nozzle cross-section pi*d_i^2/4 [m2]."""
+        return math.pi * self.d_i ** 2 / 4.0
 
     @property
     def area(self) -> float:
@@ -105,22 +102,8 @@ class CoolerArray:
         return self.nozzle_count / self.area_cm2
 
 
-def array_from_ratios(chip_side: float, n: int, di_over_L: float,
-                      do_over_L: float, H_over_L: float, t_over_L: float,
-                      tc: float,
-                      heated_fraction: float = HEATED_FRACTION_DEFAULT
-                      ) -> CoolerArray:
-    """Build a CoolerArray from dimensionless ratios and absolute chip size."""
-    check(n >= 1, "n must be >= 1, got {}", n, error=InvalidGeometryError)
-    check((di_over_L > 0) & (di_over_L < 1), "d_i/L must be in (0, 1), got {}",
-          di_over_L, error=InvalidGeometryError)
-    check((do_over_L > 0) & (do_over_L < 1), "d_o/L must be in (0, 1), got {}",
-          do_over_L, error=InvalidGeometryError)
-    L = chip_side / n
-    cell = UnitCell(L=L, d_i=di_over_L * L, d_o=do_over_L * L,
-                    H=H_over_L * L, t=t_over_L * L, t_c=tc)
-    return CoolerArray(chip_side=chip_side, n=n, cell=cell,
-                       heated_fraction=heated_fraction)
+#: The constructor under its ratio-building name.
+array_from_ratios = CoolerArray
 
 
 def normalize(r_th: float, w_p: float, v_dot: float,

@@ -19,9 +19,9 @@ import numpy as np
 from . import correlations as corr
 from . import props as pr
 from . import roots
-from .errors import (InfeasibleError, InvalidGeometryError, InvalidInputError,
-                     NoFlowError, NonMeaningfulResistanceError, check)
-from .geometry import CM2_PER_M2, CoolerArray, UnitCell, normalize, per_nozzle_flow
+from .errors import (InfeasibleError, InvalidInputError, NoFlowError,
+                     NonMeaningfulResistanceError, check)
+from .geometry import CM2_PER_M2, CoolerArray, normalize, per_nozzle_flow
 
 #: Default maximum allowed chip temperature increase for COP [K].
 DT_MAX_ALLOW_DEFAULT = 60.0
@@ -73,14 +73,13 @@ def evaluate_design(array: CoolerArray, fluid: pr.FluidProps,
     check((dt_max_allow > 0) & (dt_max_allow < math.inf),
           "dt_max_allow must be finite and > 0, got {}", dt_max_allow)
     check(op.flow_total != 0, "flow_total is zero", error=NoFlowError)
-    cell = array.cell
     flow_pn = per_nozzle_flow(op.flow_total, array.n)
     v_bar, inputs = _jet(array, fluid, op.flow_total)
     nu_f, nu_warns = corr.nu_f_predict(inputs)
-    bi = pr.biot(nu_f, cell.t_c, cell.d_i, fluid.conductivity,
+    bi = pr.biot(nu_f, array.tc, array.d_i, fluid.conductivity,
                  solid.conductivity)
     nu_j = corr.biot_correct(nu_f, bi)
-    htc = corr.nu_to_htc(nu_j, cell.d_i, fluid.conductivity)
+    htc = corr.nu_to_htc(nu_j, array.d_i, fluid.conductivity)
     r_th = 1.0 / (htc * array.heated_area)
     friction = corr.friction_predict(inputs)
     dp = friction.k * 0.5 * fluid.density * v_bar ** 2
@@ -98,11 +97,10 @@ def evaluate_design(array: CoolerArray, fluid: pr.FluidProps,
 
 def _jet(array: CoolerArray, fluid: pr.FluidProps, flow):
     """Mean nozzle velocity [m/s] and the predictive inputs at total flow."""
-    cell = array.cell
-    v_bar = per_nozzle_flow(flow, array.n) / cell.nozzle_area
-    re = pr.reynolds(fluid, cell.d_i, v_bar)
-    return v_bar, corr.PredictiveInputs(cell.di_over_L, cell.do_over_L,
-                                        cell.H_over_L, cell.t_over_L, re)
+    v_bar = per_nozzle_flow(flow, array.n) / array.nozzle_area
+    re = pr.reynolds(fluid, array.d_i, v_bar)
+    return v_bar, corr.PredictiveInputs(array.di_over_L, array.do_over_L,
+                                        array.H_over_L, array.t_over_L, re)
 
 
 def dp_curve(array: CoolerArray, fluid: pr.FluidProps):
@@ -140,7 +138,7 @@ class PressureBreakdown:
     warnings: tuple[str, ...] = ("jet_residual_unmodeled",)
 
 
-def pressure_decomposition(cell: UnitCell, fluid: pr.FluidProps,
+def pressure_decomposition(array: CoolerArray, fluid: pr.FluidProps,
                            v_nozzle: float) -> PressureBreakdown:
     """Hagen-Poiseuille nozzle losses plus a slab model of the cavity channel.
 
@@ -151,17 +149,15 @@ def pressure_decomposition(cell: UnitCell, fluid: pr.FluidProps,
     """
     check((v_nozzle >= 0) & (v_nozzle < math.inf),
           "v_nozzle must be >= 0, got {}", v_nozzle)
-    check((cell.d_i > 0) & (cell.d_o > 0), "nozzle diameters must be > 0",
-          error=InvalidGeometryError)
     mu = fluid.viscosity
 
     def hagen_poiseuille(d: float) -> float:
-        return 8.0 * mu * cell.t * v_nozzle / (math.pi * (d / 2.0) ** 4)
+        return 8.0 * mu * array.t * v_nozzle / (math.pi * (d / 2.0) ** 4)
 
-    dp_channel = (12.0 * mu * v_nozzle * (cell.L - cell.d_i)
-                  / (2.0 * cell.L * cell.H ** 3))
-    return PressureBreakdown(dp_in_nozzle=hagen_poiseuille(cell.d_i),
-                             dp_out_nozzle=hagen_poiseuille(cell.d_o),
+    dp_channel = (12.0 * mu * v_nozzle * (array.L - array.d_i)
+                  / (2.0 * array.L * array.H ** 3))
+    return PressureBreakdown(dp_in_nozzle=hagen_poiseuille(array.d_i),
+                             dp_out_nozzle=hagen_poiseuille(array.d_o),
                              dp_channel=dp_channel, dp_jet_residual=0.0)
 
 
@@ -272,7 +268,7 @@ def _htc_with_pr(array: CoolerArray, fluid: pr.FluidProps, flow_total):
     _, inputs = _jet(array, fluid, flow_total)
     nu_f, warns = corr.nu_f_predict(inputs)
     htc = corr.nu_to_htc(nu_f * pr.prandtl(fluid) ** (1.0 / 3.0),
-                         array.cell.d_i, fluid.conductivity)
+                         array.d_i, fluid.conductivity)
     return htc, warns
 
 

@@ -92,6 +92,27 @@ class TestPredict:
         keys = {line.split(",")[0] for line in lines[1:]}
         assert {"re", "dp_Pa", "pressure_breakdown_Pa.dp_in_nozzle"} <= keys
 
+    def test_inputs_echo_the_config_ratios(self, tmp_path):
+        cfg = write(tmp_path, "p.ini", PREDICT_INI.replace("\nn = 4", "\nn = 3")
+                    .replace("di_over_l = 0.3", "di_over_l = 0.45"))
+        assert run(["predict", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 0
+        text = (tmp_path / "out" / "report.json").read_text()
+        inputs = json.loads(text)["inputs"]
+        assert [inputs[k] for k in ("n", "di_over_l", "do_over_l", "h_over_l",
+                                    "t_over_l")] == [3, 0.45, 0.3, 0.3, 0.5]
+        assert '"di_over_l": 0.45,' in text
+
+    @pytest.mark.parametrize("old, new", [
+        ("chip_side_mm = 8", "chip_side_mm = 1e-308"),
+        ("di_over_l = 0.3", "di_over_l = 1e-308")])
+    def test_underflowing_nozzle_area_exit_2(self, tmp_path, capsys, old, new):
+        cfg = write(tmp_path, "p.ini", PREDICT_INI.replace(old, new))
+        assert run(["predict", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("error: nozzle_area must be finite "
+                                           "and > 0, got 0.0\n")
+
 
 EXPLORE_INI = PREDICT_INI + """
 [sweep]
@@ -932,6 +953,49 @@ USER_FLUIDS = ("name,density_kg_m3,viscosity_kg_ms,cp_J_kgK,k_W_mK,ref_temp_C\n"
                "brine,1100,0.002,3500,0.5,20\n")
 
 
+def run_python(*args):
+    """``python *args`` in a new process that imports this jetcool."""
+    src = str(Path(jetcool.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+class TestCommandLine:
+    """argparse's verdict on a command line comes back from ``run`` as an
+    exit code, and a command that reads a file cannot be run without it."""
+
+    @pytest.mark.parametrize("command", ["predict", "explore", "cop",
+                                         "hotspot", "reduce", "gci"])
+    def test_missing_config_exit_2(self, tmp_path, capsys, command):
+        assert run([command, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "the following arguments are required: --config" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_config_exit_2_in_a_process(self):
+        proc = run_python("-m", "jetcool.cli", "predict")
+        assert proc.returncode == 2
+        assert "the following arguments are required: --config" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv, message", [
+        (["topo"], "one of the arguments --config --selftest is required"),
+        (["topo", "--selftest", "--config", "t.ini"],
+         "argument --config: not allowed with argument --selftest")])
+    def test_topo_takes_config_or_selftest(self, capsys, argv, message):
+        assert run(argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_usage_error_and_help_return_their_codes(self, capsys):
+        assert run(["predict", "--config", "p.ini", "--bogus"]) == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert run(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: jetcool")
+
+
 class TestPerCallCost:
     """The parser and the built-in catalogs are built once per process and
     shared between runs without carrying state; only topo loads scipy."""
@@ -944,11 +1008,7 @@ class TestPerCallCost:
                 f"assert jetcool.cli.run({argv!r}) == 0\n"
                 "print(sorted(m for m in sys.modules\n"
                 "             if m.startswith(('scipy', 'jetcool.topo'))))\n")
-        src = str(Path(jetcool.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=120,
-                              env=dict(os.environ, PYTHONPATH=path))
+        proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 

@@ -1,20 +1,21 @@
+import numpy as np
 import pytest
 
 from jetcool.errors import InvalidGeometryError, InvalidInputError
-from jetcool.geometry import (UnitCell, array_from_ratios,
+from jetcool.geometry import (CoolerArray, array_from_ratios,
                               extrapolate_power, normalize, per_nozzle_flow)
 
 
 def test_array_from_ratios_pitch():
     arr = array_from_ratios(8e-3, 4, 0.3, 0.3, 0.3, 0.3, 0.2e-3)
-    assert arr.cell.L == pytest.approx(2e-3, rel=1e-12)
-    assert arr.cell.d_i == pytest.approx(0.6e-3, rel=1e-12)
+    assert arr.L == pytest.approx(2e-3, rel=1e-12)
+    assert arr.d_i == pytest.approx(0.6e-3, rel=1e-12)
     # single jet: pitch equals the chip side
     single = array_from_ratios(8e-3, 1, 0.25, 0.25, 0.25, 0.875, 0.2e-3)
-    assert single.cell.L == pytest.approx(8e-3, rel=1e-12)
+    assert single.L == pytest.approx(8e-3, rel=1e-12)
     # 8x8 on the same chip gives 0.3 mm nozzles
     dense = array_from_ratios(8e-3, 8, 0.3, 0.3, 0.6, 1.0, 0.2e-3)
-    assert dense.cell.d_i == pytest.approx(0.3e-3, rel=1e-12)
+    assert dense.d_i == pytest.approx(0.3e-3, rel=1e-12)
 
 
 def test_nozzle_density():
@@ -30,7 +31,7 @@ def test_diameter_ratio_bounds():
     with pytest.raises(InvalidGeometryError):
         array_from_ratios(8e-3, 4, 0.3, 1.2, 0.3, 0.3, 0.2e-3)
     with pytest.raises(InvalidGeometryError):
-        UnitCell(L=1e-3, d_i=1.1e-3, d_o=0.3e-3, H=1e-3, t=1e-3, t_c=0.2e-3)
+        array_from_ratios(8e-3, 8, 1.1, 0.3, 1.0, 1.0, 0.2e-3)
     with pytest.raises(InvalidGeometryError):
         array_from_ratios(8e-3, 0, 0.3, 0.3, 0.3, 0.3, 0.2e-3)
 
@@ -40,8 +41,7 @@ def test_ratio_scale_invariance():
     small = array_from_ratios(4e-3, 2, 0.25, 0.35, 0.5, 0.2, 0.2e-3)
     large = array_from_ratios(4.0, 2000, 0.25, 0.35, 0.5, 0.2, 0.2e-3)
     for attr in ("di_over_L", "do_over_L", "H_over_L", "t_over_L"):
-        assert getattr(small.cell, attr) == pytest.approx(
-            getattr(large.cell, attr), rel=1e-12)
+        assert getattr(small, attr) == getattr(large, attr)
 
 
 def test_normalize_worked_values():
@@ -83,3 +83,35 @@ def test_heated_fraction_default():
     custom = array_from_ratios(8e-3, 4, 0.3, 0.3, 0.3, 0.5, 0.2e-3,
                                heated_fraction=1.0)
     assert custom.heated_area == pytest.approx(64e-6, rel=1e-12)
+
+
+def test_ratios_kept_exactly():
+    """A design holds the ratios it was given, not d_i / (chip_side / n)."""
+    arr = array_from_ratios(8e-3, 3, 0.45, 0.45, 0.3, 0.5, 0.2e-3)
+    assert arr.di_over_L == 0.45
+    assert (arr.do_over_L, arr.H_over_L, arr.t_over_L, arr.tc) \
+        == (0.45, 0.3, 0.5, 0.2e-3)
+    assert array_from_ratios is CoolerArray
+
+
+@pytest.mark.parametrize("args, message", [
+    ((8e-3, 4, 0.3, 0.3, 0.3, 0.3, 0.2e-3, 0.0), "heated_fraction"),
+    ((8e-3, 4, 0.3, 0.3, 0.3, 0.3, 0.2e-3, 1.5), "heated_fraction"),
+    ((-8e-3, 4, 0.3, 0.3, 0.3, 0.3, 0.2e-3), "L must be finite"),
+    ((8e-3, 4, 0.3, 0.3, float("nan"), 0.3, 0.2e-3), "H must be finite"),
+    ((8e-3, 4, 0.3, 0.3, 0.3, float("inf"), 0.2e-3), "t must be finite"),
+    ((8e-3, 4, 0.3, 0.3, 0.3, 0.3, 0.0), "tc must be finite"),
+    ((1e-308, 4, 0.3, 0.3, 0.3, 0.3, 0.2e-3), "nozzle_area must be finite"),
+    ((8e-3, 4, 1e-308, 0.3, 0.3, 0.3, 0.2e-3), "nozzle_area must be finite"),
+])
+def test_one_check_for_every_derived_quantity(args, message):
+    with pytest.raises(InvalidGeometryError, match=message):
+        CoolerArray(*args)
+
+
+def test_array_valued_design_checked_per_element():
+    n = np.array([2, 4, 8])
+    arr = CoolerArray(8e-3, n, 0.3, 0.3, 0.3, 0.3, 0.2e-3)
+    assert arr.L.tolist() == [4e-3, 2e-3, 1e-3]
+    with pytest.raises(InvalidGeometryError, match="d_i/L .* got 1.2"):
+        CoolerArray(8e-3, n, np.array([0.3, 1.2, 0.3]), 0.3, 0.3, 0.3, 0.2e-3)

@@ -93,27 +93,26 @@ def test_r_star_scale_invariance(quad_array):
 
 class TestPressureDecomposition:
     def test_hagen_poiseuille_reference(self, quad_array):
-        cell = array_from_ratios(8e-3, 4, 0.3, 0.3, 0.3, 0.5, 0.2e-3).cell
-        bd = pressure_decomposition(cell, water(), 37.5 * MLPM)
+        arr = array_from_ratios(8e-3, 4, 0.3, 0.3, 0.3, 0.5, 0.2e-3)
+        bd = pressure_decomposition(arr, water(), 37.5 * MLPM)
         assert bd.dp_in_nozzle == pytest.approx(255.43385928328888, rel=1e-9)
 
     def test_symmetry_and_zero_flow(self, quad_array):
-        bd = pressure_decomposition(quad_array.cell, water(), 37.5 * MLPM)
+        bd = pressure_decomposition(quad_array, water(), 37.5 * MLPM)
         assert bd.dp_out_nozzle == bd.dp_in_nozzle   # d_o = d_i
         assert bd.dp_jet_residual == 0.0
         assert "jet_residual_unmodeled" in bd.warnings
-        z = pressure_decomposition(quad_array.cell, water(), 0.0)
+        z = pressure_decomposition(quad_array, water(), 0.0)
         assert (z.dp_in_nozzle, z.dp_out_nozzle, z.dp_channel) == (0, 0, 0)
 
     def test_scaling_laws(self, quad_array):
-        cell = quad_array.cell
-        one = pressure_decomposition(cell, water(), 10 * MLPM)
-        two = pressure_decomposition(cell, water(), 20 * MLPM)
+        one = pressure_decomposition(quad_array, water(), 10 * MLPM)
+        two = pressure_decomposition(quad_array, water(), 20 * MLPM)
         assert two.dp_in_nozzle == pytest.approx(2 * one.dp_in_nozzle, rel=1e-12)
         thick = FluidProps("thick", 999.7, 2 * 0.0013, 4197, 0.6, 10)
-        visc = pressure_decomposition(cell, thick, 10 * MLPM)
+        visc = pressure_decomposition(quad_array, thick, 10 * MLPM)
         assert visc.dp_in_nozzle == pytest.approx(2 * one.dp_in_nozzle, rel=1e-12)
-        half = array_from_ratios(8e-3, 4, 0.15, 0.3, 0.3, 0.1, 0.2e-3).cell
+        half = array_from_ratios(8e-3, 4, 0.15, 0.3, 0.3, 0.1, 0.2e-3)
         small = pressure_decomposition(half, water(), 10 * MLPM)
         assert small.dp_in_nozzle == pytest.approx(16 * one.dp_in_nozzle,
                                                    rel=1e-12)

@@ -7,7 +7,8 @@ cells are converted only in ``jetcool.tables``: no caller turns a cell into
 a number or decides what a blank or bad cell means. A sweep stays columns:
 no per-design row type or ``rows()`` splitter. The full saddle-point matrix
 of the flow solver is built only in the tests, and scipy is imported only by
-the topology solver, so no other command pays for loading it.
+the topology solver, so no other command pays for loading it. A design is one
+``CoolerArray`` of ratios.
 """
 
 from pathlib import Path
@@ -34,6 +35,8 @@ CONFINED = [
     ("def opt(", None),
     ("float(row[", None),
     ("int(r[", None),
+    ("class UnitCell", None),
+    (".cell.", None),
 ]
 
 
