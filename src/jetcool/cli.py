@@ -55,23 +55,23 @@ def _write_payload(args, payload: dict, stem: str) -> None:
         tables.write_json(out / f"{stem}.json", payload)
 
 
-#: Summary metrics as (``PerformanceReport`` field, report key/sweep column).
-SUMMARY = (("re", "re"), ("nu_f", "nu_f"), ("nu_j", "nu_j"),
-           ("htc", "htc_W_m2K"), ("r_th", "r_th_K_W"),
-           ("r_star", "r_star_Kcm2_W"), ("dp", "dp_Pa"), ("w_p", "wp_W"),
-           ("cop", "cop"))
+#: Report values in report order as (``PerformanceReport`` field, report
+#: key, summary metric); the summary metrics are printed by ``predict`` and
+#: are the metric columns of a sweep.
+REPORT = (("re", "re", True), ("pr", "pr", False), ("nu_f", "nu_f", True),
+          ("bi", "bi", False), ("nu_j", "nu_j", True),
+          ("htc", "htc_W_m2K", True), ("r_th", "r_th_K_W", True),
+          ("r_star", "r_star_Kcm2_W", True), ("dT_avg", "dT_avg_K", False),
+          ("dp", "dp_Pa", True), ("w_p", "wp_W", True), ("cop", "cop", True),
+          ("v_nozzle", "v_nozzle_m_s", False))
+SUMMARY = tuple((field, key) for field, key, summary in REPORT if summary)
 
 
 def _report_dict(report: performance.PerformanceReport) -> dict:
-    return {
-        "re": report.re, "pr": report.pr, "nu_f": report.nu_f,
-        "bi": report.bi, "nu_j": report.nu_j, "htc_W_m2K": report.htc,
-        "r_th_K_W": report.r_th, "r_star_Kcm2_W": report.r_star,
-        "dT_avg_K": report.dT_avg, "dp_Pa": report.dp, "wp_W": report.w_p,
-        "cop": report.cop, "v_nozzle_m_s": report.v_nozzle,
-        "flow_per_nozzle_mlpm": report.flow_per_nozzle / M3S_PER_MLPM,
-        "warnings": list(report.warnings),
-    }
+    payload = {key: getattr(report, field) for field, key, _ in REPORT}
+    payload["flow_per_nozzle_mlpm"] = report.flow_per_nozzle / M3S_PER_MLPM
+    payload["warnings"] = list(report.warnings)
+    return payload
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,8 @@ class HotspotHtcModel:
 
     Fitted per-cell heat transfer against nozzle diameter d [mm] and
     per-nozzle flow m_nz [mL/min]; the flow exponent itself varies with d.
+    Both fits take floats, giving floats, or arrays that broadcast, giving
+    arrays; a bad element is reported by its value.
     """
 
     c: float = 8440.0
@@ -302,24 +304,25 @@ class HotspotHtcModel:
     m_exp_d: float = -0.6624
     pitch_mm: float = 1.0
 
-    def evaluate(self, d_mm: float, m_nz_mlpm: float) -> float:
-        if not (d_mm > 0 and m_nz_mlpm >= 0):
-            raise InvalidInputError("d must be > 0 and m_nz >= 0")
+    def evaluate(self, d_mm, m_nz_mlpm):
+        check((d_mm > 0) & (m_nz_mlpm >= 0),
+              "d must be > 0 and m_nz >= 0, got d = {} mm, m_nz = {} mL/min",
+              d_mm, m_nz_mlpm)
         return (self.c * d_mm ** self.d_exp
                 * m_nz_mlpm ** (self.m_exp + self.m_exp_d * d_mm))
 
-    def flow_for_htc(self, d_mm: float, htc: float) -> float:
+    def flow_for_htc(self, d_mm, htc):
         """Per-nozzle flow needed to reach htc at diameter d.
 
         Only defined while the flow exponent stays positive (d below
         -m_exp/m_exp_d); beyond that more flow does not raise htc.
         """
-        if not (d_mm > 0 and htc > 0):
-            raise InvalidInputError("d and htc must be > 0")
+        check((d_mm > 0) & (htc > 0),
+              "d and htc must be > 0, got d = {} mm, htc = {} W/(m2.K)",
+              d_mm, htc)
         exponent = self.m_exp + self.m_exp_d * d_mm
-        if not exponent > 0:
-            raise InvalidInputError(
-                f"flow exponent {exponent:g} <= 0 at d = {d_mm} mm")
+        check(exponent > 0, "flow exponent {:g} <= 0 at d = {} mm", exponent,
+              d_mm)
         return (htc / (self.c * d_mm ** self.d_exp)) ** (1.0 / exponent)
 
 
@@ -329,6 +332,7 @@ class NozzlePressureModel:
 
     Only ratios and equality constraints of this fit are load bearing; the
     absolute pressure unit is the one implicit in the fitted constant.
+    Takes floats or arrays, as ``HotspotHtcModel`` does.
     """
 
     c: float = 0.655
@@ -336,15 +340,16 @@ class NozzlePressureModel:
     m_exp: float = 1.76
     pitch_mm: float = 1.0
 
-    def evaluate(self, d_mm: float, m_nz_mlpm: float) -> float:
-        if not (d_mm > 0 and m_nz_mlpm >= 0):
-            raise InvalidInputError("d must be > 0 and m_nz >= 0")
+    def evaluate(self, d_mm, m_nz_mlpm):
+        check((d_mm > 0) & (m_nz_mlpm >= 0),
+              "d must be > 0 and m_nz >= 0, got d = {} mm, m_nz = {} mL/min",
+              d_mm, m_nz_mlpm)
         return self.c * d_mm ** self.d_exp * m_nz_mlpm ** self.m_exp
 
-    def flow_for_dp(self, d_mm: float, dp: float) -> float:
+    def flow_for_dp(self, d_mm, dp):
         """Invert the fit: per-nozzle flow driven through diameter d at dp."""
-        if not (d_mm > 0 and dp >= 0):
-            raise InvalidInputError("d must be > 0 and dp >= 0")
+        check((d_mm > 0) & (dp >= 0),
+              "d must be > 0 and dp >= 0, got d = {} mm, dp = {}", d_mm, dp)
         return (dp / (self.c * d_mm ** self.d_exp)) ** (1.0 / self.m_exp)
 
 

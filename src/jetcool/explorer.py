@@ -1,5 +1,11 @@
 """Design-space sweeps under constraints, Pareto extraction, COP surfaces,
-hotspot flow scaling and hotspot-targeted nozzle-array synthesis."""
+hotspot flow scaling and hotspot-targeted nozzle-array synthesis.
+
+Hotspot synthesis solves all powered cells as one array per plenum
+pressure; its 240-point pressure scan, and the ranking of the brackets that
+scan finds, are one (pressure x cell) array solve each. Only the bisection
+of the plenum pressure itself steps one scalar at a time.
+"""
 
 from __future__ import annotations
 
@@ -13,12 +19,13 @@ import numpy as np
 
 from . import correlations as corr
 from . import props as pr
-from .errors import InfeasibleError, InvalidInputError, check
+from .errors import (InfeasibleError, InvalidInputError, SolverError,
+                     check)
 from .geometry import (HEATED_FRACTION_DEFAULT, CoolerArray,
                        array_from_ratios)
 from .performance import (OperatingPoint, PerformanceReport, dp_curve,
                           evaluate_design)
-from .roots import bisect_bracket, bisect_monotone
+from .roots import MAX_ITER, bisect_bracket, bisect_monotone
 
 
 @dataclass(frozen=True)
@@ -219,6 +226,24 @@ class NozzlePlan:
     warnings: tuple[str, ...] = ()
 
 
+#: Status codes of a cell in the array solve, indexing ``_STATUS``.
+_OK, _EXCEEDED, _UNREACHABLE = range(3)
+_STATUS = ("ok", "exceeded", "unreachable")
+
+
+def _lambert_w(log_z):
+    """Principal branch W(z) of Lambert's function for z = exp(log_z) > 0.
+
+    Newton steps on w + ln w = ln z from w = ln(1 + z); five reach
+    round-off for ln z in [-200, 709] (Corless et al. 1996, "On the
+    Lambert W function").
+    """
+    w = np.logaddexp(0.0, log_z)
+    for _ in range(5):
+        w = w / (1.0 + w) * (1.0 + log_z - np.log(w))
+    return w
+
+
 def hotspot_synthesize(power_map: PowerMap, flow_total: float,
                        dT_target: float, fluid: pr.FluidProps,
                        bounds: tuple[float, float] = (0.1, 0.9),
@@ -231,9 +256,15 @@ def hotspot_synthesize(power_map: PowerMap, flow_total: float,
     fitted htc meets htc_req = q''/dT_target, and the plenum pressure is
     bisected until the open-nozzle flows sum to flow_total [m3/s].
     Cells whose requirement is unreachable inside the diameter bounds are
-    clamped to the nearest bound and flagged. The default fitted constants
-    hold for 1 mm pitch cells with the reference coolant; other pitches or
-    coolants require explicitly refitted models (fit_htc_model).
+    clamped to d_min (over-cooled) or to the htc peak (under-cooled) and
+    flagged. A plan whose flows miss flow_total by more than the bisection
+    tolerance raises ``SolverError``. The default fitted constants hold for
+    1 mm pitch cells with the reference coolant; other pitches or coolants
+    require explicitly refitted models (fit_htc_model), whose constants
+    must give the htc a single peak in d at fixed plenum pressure.
+
+    At each plenum pressure the htc peak over d is taken in closed form and
+    every cell is solved below it by safeguarded Newton steps, as one array.
     """
     htc_model = htc_model if htc_model is not None else corr.HotspotHtcModel()
     dp_model = dp_model if dp_model is not None else corr.NozzlePressureModel()
@@ -249,60 +280,103 @@ def hotspot_synthesize(power_map: PowerMap, flow_total: float,
     check(flow_total > 0, "flow_total must be > 0")
     flow_total_mlpm = flow_total / M3S_PER_MLPM
 
+    # At fixed plenum pressure dp the flow is m = (dp/c_p)^(1/mu) d^gamma,
+    # so ln htc = ln c + a ln d + (b + e d) ln m. Its slope in ln d is
+    # a + gamma b + e gamma d (ln d + s), with s = ln(dp/c_p)/(mu gamma) + 1:
+    # for a + gamma b > 0, e < 0 and gamma > 0 it falls through zero once,
+    # at d = exp(W(C e^s) - s) with C = -(a + gamma b)/(e gamma). Only the
+    # rising branch below that peak is physically sensible (less flow,
+    # smaller nozzle for the same cooling), so each cell is solved on it.
+    a, b, e = htc_model.d_exp, htc_model.m_exp, htc_model.m_exp_d
+    gamma = -dp_model.d_exp / dp_model.m_exp
+    check(gamma > 0 and a + gamma * b > 0 and e < 0,
+          "the htc fit needs a single peak in d at fixed plenum pressure: "
+          "d_exp + gamma*m_exp > 0 and m_exp_d < 0 with gamma = "
+          "-d_exp/m_exp of the pressure fit > 0; got d_exp = {}, m_exp = {}, "
+          "m_exp_d = {}, gamma = {}", a, b, e, gamma)
+    log_c = math.log((a + gamma * b) / (-e * gamma))
+
     density = power_map.density_w_cm2
     active = density > 0
-    # W/cm2 -> W/m2 in argwhere order, as Python floats (faster than numpy's)
-    reqs = (density[active] * 1e4 / dT_target).tolist()
+    # W/cm2 -> W/m2, in argwhere order
+    with np.errstate(over="ignore"):
+        req = density[active] * 1e4 / dT_target
+    check((req > 0) & (req < math.inf), "the required htc q''/dT_target "
+          "must be finite and > 0, got {} W/(m2.K)", req)
 
-    def dp_needed(d: float, req: float) -> float:
-        """Plenum pressure at which diameter d exactly meets req."""
-        return dp_model.evaluate(d, htc_model.flow_for_htc(d, req))
-
-    def htc_at(d: float, dp: float) -> float:
+    def htc_at(d, dp):
         return htc_model.evaluate(d, dp_model.flow_for_dp(d, dp))
 
-    # At fixed plenum pressure the achieved htc rises with d while the flow
-    # exponent is large, peaks, then falls as the exponent collapses; only
-    # the rising branch is physically sensible (less flow, smaller nozzle
-    # for the same cooling), so each cell solve is restricted to it.
-    d_samples = np.geomspace(d_min, d_max, 160).tolist()
+    def peak_diameter(dp):
+        s = np.log(dp / dp_model.c) / (-dp_model.d_exp) + 1.0
+        return np.clip(np.exp(_lambert_w(log_c + s) - s), d_min, d_max)
 
-    def cell_states(dp: float) -> list[tuple[float, float, str]]:
-        """(diameter, flow, status) of every active cell at plenum pressure
-        dp, in np.argwhere(active) order. The htc curve is built once."""
-        achieved = [htc_at(d, dp) for d in d_samples]
-        k_peak = achieved.index(max(achieved))
-        d_peak = d_samples[k_peak]
-        states = []
-        for req in reqs:
-            if req > achieved[k_peak]:
-                d, status = d_peak, "unreachable"  # under-cooled at the peak
-            elif req < achieved[0]:
-                d, status = d_min, "exceeded"      # over-cooled even at d_min
-            else:
-                d = bisect_bracket(lambda x: htc_at(x, dp) - req, d_min,
-                                   d_peak, achieved[0] - req, 1e-12 * req)
-                status = "ok"
-            states.append((d, dp_model.flow_for_dp(d, dp), status))
-        return states
+    def solve_rising(r, dp, lo, hi, u):
+        """Diameters meeting htc = r at pressures dp, one per element: Newton
+        steps in u = ln d on ln htc - ln r from u, kept inside the bracket
+        [lo, hi] of u by bisecting whenever a step leaves it. An element
+        stops once |htc - r| <= 1e-12 r or its bracket collapses to
+        round-off; all stop after MAX_ITER steps."""
+        for _ in range(MAX_ITER):
+            d = np.exp(u)
+            m = dp_model.flow_for_dp(d, dp)
+            h = htc_model.evaluate(d, m)
+            open_ = (np.abs(h - r) > 1e-12 * r) & (hi - lo > 1e-15)
+            if not open_.any():
+                return d
+            below = h < r
+            lo, hi = np.where(below, u, lo), np.where(below, hi, u)
+            slope = a + e * d * np.log(m) + (b + e * d) * gamma
+            newton = u - np.log(h / r) / np.where(slope > 0, slope, np.inf)
+            inside = (lo < newton) & (newton < hi)
+            u = np.where(open_, np.where(inside, newton, 0.5 * (lo + hi)), u)
+        return np.exp(u)
 
-    def flow_error(dp: float) -> float:
-        return sum(m for _, m, _ in cell_states(dp)) - flow_total_mlpm
+    def cell_states(dp):
+        """Diameter, flow and status code of every active cell at plenum
+        pressure dp, in np.argwhere(active) order; a 1-D array of pressures
+        gives one row of cells per pressure."""
+        dp = np.asarray(dp, dtype=float)[..., None]
+        d_peak = peak_diameter(dp)
+        h_min, h_peak = htc_at(d_min, dp), htc_at(d_peak, dp)
+        status = np.where(req > h_peak, _UNREACHABLE,
+                          np.where(req < h_min, _EXCEEDED, _OK))
+        d = np.where(status == _UNREACHABLE, d_peak, d_min)
+        ok = status == _OK
+        if ok.any():
+            def at_ok(x):
+                return np.broadcast_to(x, status.shape)[ok]
+            r = at_ok(req)
+            f_lo, f_hi = np.log(at_ok(h_min) / r), np.log(at_ok(h_peak) / r)
+            lo, hi = np.full(r.shape, math.log(d_min)), np.log(at_ok(d_peak))
+            # start from the secant of ln htc over the bracket
+            u = lo - f_lo * (hi - lo) / np.where(f_hi > f_lo, f_hi - f_lo, 1.0)
+            d[ok] = solve_rising(r, at_ok(dp), lo, hi, u)
+        return d, dp_model.flow_for_dp(d, dp), status
+
+    def flow_error(dp):
+        return cell_states(dp)[1].sum(axis=-1) - flow_total_mlpm
 
     # pressure band on which every cell is exactly solvable: total flow is
     # strictly decreasing there, so that root is preferred when it exists
-    # (outside it, cells clamp and the total becomes non-monotone)
+    # (outside it, cells clamp and the total becomes non-monotone). Its
+    # lower end is the least pressure over 160 sampled diameters.
     dp_star = None
+    tol = 1e-12 * flow_total_mlpm
+    d_samples = np.geomspace(d_min, d_max, 160)[:, None]
     try:
-        band_lo = max(min(dp_needed(d, r) for d in d_samples) for r in reqs)
-        band_hi = min(dp_needed(d_min, r) for r in reqs)
+        with np.errstate(over="ignore"):
+            need = dp_model.evaluate(
+                d_samples, htc_model.flow_for_htc(d_samples, req))
+        band_lo, band_hi = float(need.min(axis=0).max()), float(need[0].min())
     except InvalidInputError:
+        band_lo = band_hi = math.inf
+    if max(band_lo, band_hi) == math.inf:   # a fit fails or overflows
         band_lo, band_hi = 1.0, 0.0
-    if band_lo <= band_hi:
-        e_lo, e_hi = flow_error(band_lo), flow_error(band_hi)
+    if 0 < band_lo <= band_hi:
+        e_lo, e_hi = flow_error(np.array([band_lo, band_hi])).tolist()
         if min(e_lo, e_hi) <= 0.0 <= max(e_lo, e_hi):
-            dp_star = bisect_bracket(flow_error, band_lo, band_hi, e_lo,
-                                     1e-12 * flow_total_mlpm)
+            dp_star = bisect_bracket(flow_error, band_lo, band_hi, e_lo, tol)
     if dp_star is None:
         # target outside the fully-feasible range: with cells clamped at
         # their bounds the total is only piecewise monotone, so scan a wide
@@ -311,39 +385,56 @@ def hotspot_synthesize(power_map: PowerMap, flow_total: float,
         # cell can lift the window above the pressure that delivers a small
         # flow, so a window that brackets nothing is extended down to dp_lo,
         # below which even all-d_max nozzles carry too little.
+        tol = 1e-9 * flow_total_mlpm
         window_lo = max(band_lo * 1e-6, 1e-9)
-        dp_lo = dp_model.evaluate(d_max, flow_total_mlpm / len(reqs))
+        window_hi = max(band_hi, band_lo, 1.0) * 1e6
+        # a numpy scalar, so that an overflow gives inf, not OverflowError
+        with np.errstate(over="ignore"):
+            dp_lo = dp_model.evaluate(
+                d_max, np.float64(flow_total_mlpm / req.size))
+        check(0 < dp_lo < math.inf, "the plenum scan window must be finite "
+              "and > 0, got a lower end of {} for {} mL/min over {} powered "
+              "cells", dp_lo, flow_total_mlpm, req.size)
         for lo in (window_lo, dp_lo):
-            dp_grid = np.geomspace(lo, max(band_hi, band_lo, 1.0) * 1e6,
-                                   240).tolist()
-            resid = [flow_error(dp) for dp in dp_grid]
-            brackets = [k for k in range(len(dp_grid) - 1)
-                        if resid[k] == 0.0 or resid[k] * resid[k + 1] <= 0.0]
-            if brackets or dp_lo >= window_lo:
+            dp_grid = np.geomspace(lo, window_hi, 240)
+            resid = flow_error(dp_grid)
+            # a grid point within the tolerance of the root is a bracket
+            near = np.abs(resid) <= tol
+            brackets = np.flatnonzero(near[:-1]
+                                      | (resid[:-1] * resid[1:] <= 0.0))
+            if brackets.size or dp_lo >= window_lo:
                 break
-        if not brackets:
+        if not brackets.size:
             raise InfeasibleError(
                 f"no plenum pressure delivers {flow_total_mlpm:g} mL/min "
                 "within the diameter bounds")
+        status = cell_states(np.sqrt(dp_grid[brackets]
+                                     * dp_grid[brackets + 1]))[2]
+        k = min(zip((status == _UNREACHABLE).sum(axis=1).tolist(),
+                    (status != _OK).sum(axis=1).tolist(),
+                    dp_grid[brackets].tolist(), brackets.tolist()))[3]
+        if near[k]:
+            dp_star = float(dp_grid[k])
+        else:
+            # bisect in log dp, so that the midpoints stay geometric
+            dp_star = math.exp(bisect_bracket(
+                lambda s: flow_error(math.exp(s)), math.log(dp_grid[k]),
+                math.log(dp_grid[k + 1]), float(resid[k]), tol))
 
-        def badness(k: int) -> tuple[int, int, float]:
-            states = cell_states(math.sqrt(dp_grid[k] * dp_grid[k + 1]))
-            return (sum(s == "unreachable" for _, _, s in states),
-                    sum(s != "ok" for _, _, s in states), dp_grid[k])
-
-        # bisect in log dp, so that the midpoints stay geometric
-        k = min(brackets, key=badness)
-        dp_star = math.exp(bisect_bracket(
-            lambda s: flow_error(math.exp(s)), math.log(dp_grid[k]),
-            math.log(dp_grid[k + 1]), resid[k], 1e-9 * flow_total_mlpm))
-
-    d, m_nz, status = zip(*cell_states(dp_star))
+    d, m_nz, status = cell_states(dp_star)
     d_grid, m_grid, htc_grid = np.zeros((3, *density.shape))
     d_grid[active], m_grid[active] = d, m_nz
-    htc_grid[active] = list(map(htc_model.evaluate, d, m_nz))
-    flagged = [(i, j, s) for (i, j), s
-               in zip(np.argwhere(active).tolist(), status) if s != "ok"]
+    htc_grid[active] = htc_model.evaluate(d, m_nz)
+    flow = float(m_nz.sum())
+    # tol is that of the bisection that gave dp_star
+    if not abs(flow - flow_total_mlpm) <= tol:
+        raise SolverError(
+            f"the plan at plenum pressure {dp_star!r} delivers {flow!r} "
+            f"mL/min, not the target {flow_total_mlpm!r} mL/min")
+    flagged = [(i, j, _STATUS[s]) for (i, j), s
+               in zip(np.argwhere(active).tolist(), status.tolist())
+               if s != _OK]
     return NozzlePlan(d_mm=d_grid, m_nz_mlpm=m_grid, htc=htc_grid, dp=dp_star,
-                      flow_total_mlpm=float(m_grid.sum()),
+                      flow_total_mlpm=flow,
                       infeasible_cells=tuple((i, j) for i, j, _ in flagged),
                       warnings=tuple(f"htc_{s}:{i},{j}" for i, j, s in flagged))

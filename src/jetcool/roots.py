@@ -1,12 +1,15 @@
 """Bisection for the monotone constraint inversions.
 
-All constraint inversions in the toolkit (flow from pressure, flow from pump
-power, nozzle diameter from htc, plenum pressure from total flow) have
-residuals monotone in the unknown, so bisection is robust. The hotspot
-inversions bisect one scalar at a time through ``bisect_bracket``.
+The constraint inversions of a sweep (flow from pressure, flow from pump
+power) and the plenum pressure of a hotspot plan (from its total flow) have
+residuals monotone in the unknown, so bisection is robust.
 ``bisect_monotone`` solves for every design of a sweep at once: each array
 step evaluates the residual of all designs still open, so a sweep costs
-about 40 array evaluations instead of 40 scalar ones per design.
+about 40 array evaluations instead of 40 scalar ones per design. The
+hotspot plenum pressure is one scalar, bisected through ``bisect_bracket``;
+each of its residual evaluations is an array solve over all cells, and the
+per-cell diameters are solved in ``explorer.hotspot_synthesize`` itself
+(closed-form htc peak, then safeguarded Newton steps on the array).
 """
 
 from __future__ import annotations

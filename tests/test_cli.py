@@ -395,6 +395,33 @@ dt_target_k = 25
                     "--out", str(tmp_path / "o")]) == 2
         assert "flow_total must be > 0" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flow, dt, message", [
+        ("1e308", "25", "scan window must be finite and > 0, got a lower "
+         "end of inf for 1e+308 mL/min"),
+        ("50", "1e-308", "required htc q''/dT_target must be finite and > 0, "
+         "got inf"),
+        ("1e-308", "25", "scan window must be finite and > 0, got a lower "
+         "end of 0.0 for 1.0000000034223403e-308 mL/min"),
+    ], ids=["flow_1e308", "dt_1e-308", "flow_1e-308"])
+    def test_extreme_flow_or_target_exit_2_naming_the_quantity(
+            self, tmp_path, capsys, flow, dt, message):
+        pmap = write(tmp_path, "map.csv", "100,0,150\n0,250,0\n80,0,120\n")
+        cfg = write(tmp_path, "h.ini", f"""
+[fluid]
+name = water
+
+[map]
+file = {pmap}
+flow_mlpm = {flow}
+dt_target_k = {dt}
+""")
+        assert run(["hotspot", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err and "Warning" not in err
+
     @pytest.mark.parametrize("flow", [0.5, 1, 2])
     def test_hot_cell_at_small_flow_gets_flagged_plan(self, tmp_path, flow):
         # the delivering pressure lies below the first scan window

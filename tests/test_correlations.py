@@ -284,6 +284,50 @@ class TestHotspotFits:
         with pytest.raises(InvalidInputError):
             call()
 
+    @pytest.mark.parametrize("name, model, args", [
+        ("htc_evaluate", HotspotHtcModel(), ("evaluate", 2.0, 20.0)),
+        ("htc_flow_for_htc", HotspotHtcModel(), ("flow_for_htc", 2e4, 2e5)),
+        ("dp_evaluate", NozzlePressureModel(), ("evaluate", 2.0, 20.0)),
+        ("dp_flow_for_dp", NozzlePressureModel(), ("flow_for_dp", 10.0, 1e5)),
+    ])
+    def test_array_call_matches_scalar_calls(self, name, model, args):
+        method, lo, hi = args
+        rng = np.random.default_rng(7)
+        d = rng.uniform(0.1, 0.9, (6, 1))
+        second = rng.uniform(lo, hi, 5)
+        got = getattr(model, method)(d, second)
+        assert got.shape == (6, 5)
+        want = [[getattr(model, method)(float(x), float(y)) for y in second]
+                for x in d[:, 0]]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("call", [
+        lambda d: HotspotHtcModel().evaluate(d, 5.0),
+        lambda d: HotspotHtcModel().flow_for_htc(d, 5e4),
+        lambda d: NozzlePressureModel().evaluate(d, 5.0),
+        lambda d: NozzlePressureModel().flow_for_dp(d, 1e4),
+        lambda m: HotspotHtcModel().evaluate(0.3, m),
+        lambda dp: NozzlePressureModel().flow_for_dp(0.3, dp),
+    ], ids=["htc_evaluate_d", "htc_flow_for_htc_d", "dp_evaluate_d",
+            "dp_flow_for_dp_d", "htc_evaluate_m", "dp_flow_for_dp_dp"])
+    def test_array_call_names_first_bad_element(self, call):
+        with pytest.raises(InvalidInputError, match=r"= -0\.2\b"):
+            call(np.array([0.3, 0.5, -0.2, np.nan]))
+
+    def test_flow_exponent_check_names_the_diameter(self):
+        with pytest.raises(InvalidInputError, match=r"at d = 1.5 mm"):
+            HotspotHtcModel().flow_for_htc(np.array([0.3, 1.5, 2.0]), 5e4)
+
+    def test_scalar_calls_return_python_floats(self):
+        htc, dp = HotspotHtcModel(), NozzlePressureModel()
+        for value in (htc.evaluate(0.3, 15.63), htc.flow_for_htc(0.3, 5e4),
+                      dp.evaluate(0.3, 15.63), dp.flow_for_dp(0.3, 1e4)):
+            assert type(value) is float
+        # numpy scalars, as a caller reading a plan file passes them
+        value = dp.evaluate(np.float64(0.3), np.float64(15.63))
+        assert isinstance(value, float)
+        assert value == pytest.approx(10212.312183551325, rel=1e-15)
+
     def test_fit_recovers_constants(self):
         model = HotspotHtcModel()
         points = [(d, m, model.evaluate(d, m))

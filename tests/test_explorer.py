@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from jetcool.correlations import HotspotHtcModel, NozzlePressureModel
+from jetcool.correlations import (HotspotHtcModel, NozzlePressureModel,
+                                  fit_htc_model)
 from jetcool.errors import InvalidInputError
 from jetcool.explorer import (M3S_PER_MLPM, ConstraintKind, ConstraintMode,
                               DesignSpace, PowerMap, cop_surface,
@@ -220,3 +221,14 @@ class TestHotspotSynthesize:
             htc_model=HotspotHtcModel(pitch_mm=2.0),
             dp_model=NozzlePressureModel(pitch_mm=2.0))
         assert plan.flow_total_mlpm == pytest.approx(30.0, rel=1e-6)
+
+    @pytest.mark.parametrize("true_model", [
+        HotspotHtcModel(m_exp_d=0.2),       # flow exponent grows with d
+        HotspotHtcModel(d_exp=-3.0),        # htc falls with d from d_min on
+    ], ids=["m_exp_d_positive", "d_exp_too_negative"])
+    def test_refit_without_single_htc_peak_rejected(self, true_model):
+        points = [(d, m, true_model.evaluate(d, m))
+                  for d in (0.2, 0.4, 0.8) for m in (2.0, 8.0, 20.0)]
+        with pytest.raises(InvalidInputError, match="m_exp_d = .* gamma ="):
+            hotspot_synthesize(PowerMap(np.full((2, 2), 50.0)), 30 * MLPM,
+                               20.0, water(), htc_model=fit_htc_model(points))
