@@ -275,6 +275,12 @@ def hotspot_synthesize(power_map: PowerMap, flow_total: float,
           "supply refitted models", htc_model.pitch_mm, pitch_mm)
     d_min, d_max = bounds
     check((0 < d_min) & (d_min < d_max), "bad diameter bounds {}", bounds)
+    # both fits scale as a power of d, which overflows at a tiny d_min
+    exponents = np.array([htc_model.d_exp, dp_model.d_exp])
+    with np.errstate(over="ignore", divide="ignore"):
+        scale = np.float64(d_min) ** exponents
+    check(scale < math.inf, "d_min = {} mm is too small for the fits: "
+          "d_min^{} overflows", d_min, exponents)
     check(power_map.total_power > 0, "total map power must be > 0")
     check(dT_target > 0, "dT_target must be > 0")
     check(flow_total > 0, "flow_total must be > 0")

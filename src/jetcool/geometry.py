@@ -75,8 +75,9 @@ class CoolerArray:
 
     @property
     def nozzle_area(self) -> float:
-        """Inlet nozzle cross-section pi*d_i^2/4 [m2]."""
-        return math.pi * self.d_i ** 2 / 4.0
+        """Inlet nozzle cross-section pi*d_i^2/4 [m2]; d_i * d_i is inf
+        where a float d_i ** 2 would raise OverflowError."""
+        return math.pi * (self.d_i * self.d_i) / 4.0
 
     @property
     def area(self) -> float:

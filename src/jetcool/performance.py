@@ -19,7 +19,8 @@ import numpy as np
 from . import correlations as corr
 from . import props as pr
 from . import roots
-from .errors import (InfeasibleError, InvalidInputError, NoFlowError,
+from .errors import (InfeasibleError, InvalidGeometryError,
+                     InvalidInputError, NoFlowError,
                      NonMeaningfulResistanceError, check)
 from .geometry import CM2_PER_M2, CoolerArray, normalize, per_nozzle_flow
 
@@ -84,6 +85,9 @@ def evaluate_design(array: CoolerArray, fluid: pr.FluidProps,
     friction = corr.friction_predict(inputs)
     dp = friction.k * 0.5 * fluid.density * v_bar ** 2
     w_p = op.flow_total * dp
+    check(dp < math.inf, "dp must be finite, got {}", dp)
+    check(w_p > 0, "pump power must be > 0, got {} at flow_total {} m3/s",
+          w_p, op.flow_total, error=NoFlowError)
     r_star, _, _ = normalize(r_th, w_p, op.flow_total, array.area)
     warns = ([tuple(dict.fromkeys(a + b)) for a, b
               in zip(nu_warns, friction.warnings)] if isinstance(nu_warns, list)
@@ -151,14 +155,33 @@ def pressure_decomposition(array: CoolerArray, fluid: pr.FluidProps,
           "v_nozzle must be >= 0, got {}", v_nozzle)
     mu = fluid.viscosity
 
-    def hagen_poiseuille(d: float) -> float:
-        return 8.0 * mu * array.t * v_nozzle / (math.pi * (d / 2.0) ** 4)
+    def hagen_poiseuille(name: str, d: float) -> float:
+        return 8.0 * mu * array.t * v_nozzle / (
+            math.pi * _length_power(f"({name}/2)", d / 2.0, 4))
 
     dp_channel = (12.0 * mu * v_nozzle * (array.L - array.d_i)
-                  / (2.0 * array.L * array.H ** 3))
-    return PressureBreakdown(dp_in_nozzle=hagen_poiseuille(array.d_i),
-                             dp_out_nozzle=hagen_poiseuille(array.d_o),
-                             dp_channel=dp_channel, dp_jet_residual=0.0)
+                  / (2.0 * array.L * _length_power("H", array.H, 3)))
+    breakdown = PressureBreakdown(
+        dp_in_nozzle=hagen_poiseuille("d_i", array.d_i),
+        dp_out_nozzle=hagen_poiseuille("d_o", array.d_o),
+        dp_channel=dp_channel, dp_jet_residual=0.0)
+    for name in ("dp_in_nozzle", "dp_out_nozzle", "dp_channel"):
+        value = getattr(breakdown, name)
+        check(value < math.inf, "{} must be finite, got {}", name, value)
+    return breakdown
+
+
+def _length_power(name: str, length: float, k: int) -> float:
+    """length ** k [m^k], checked finite and > 0: at extreme lengths a float
+    power underflows to 0 or overflows."""
+    try:
+        value = length ** k
+    except OverflowError:
+        value = math.inf
+    check((value > 0) & (value < math.inf),
+          "{}^{} must be finite and > 0, got {} for {} = {} m", name, k,
+          value, name, length, error=InvalidGeometryError)
+    return value
 
 
 # ---------------------------------------------------------------------------

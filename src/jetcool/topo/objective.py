@@ -22,14 +22,22 @@ class ObjectiveValue(NamedTuple):
 
 def _dissipation_parts(problem: TopoProblem, eps: DensityField,
                        solution: FlowSolution):
-    """J1 split into its quadratures, reused by value and gradient."""
+    """J1 split into its quadratures, for the value and the gradient.
+
+    Computed once per solution and kept on it for the same problem and
+    design objects, since the optimizer asks for both."""
+    memo = solution.dissipation_memo
+    if memo is not None and memo[0] is problem and memo[1] is eps:
+        return memo[2]
     op = solution.op
     alpha_face = op.alpha_face @ problem.alpha(eps.eps).ravel()
     x_all = solution.x_all
     drag = 0.5 * float(np.sum(alpha_face * x_all ** 2 * op.face_area))
     gx = op.grad_op @ x_all
     viscous = 0.5 * problem.mu * float(np.sum(op.grad_w * gx ** 2))
-    return drag + viscous, alpha_face, gx
+    parts = drag + viscous, alpha_face, gx
+    solution.dissipation_memo = (problem, eps, parts)
+    return parts
 
 
 def objective(problem: TopoProblem, eps: DensityField,
@@ -72,16 +80,16 @@ def gradient(problem: TopoProblem, eps: DensityField,
 
     # dJ/dx_all
     d_j1 = (alpha_face * x_all * op.face_area
-            + problem.mu * (op.grad_op.T @ (op.grad_w * gx)))
+            + problem.mu * (op.grad_op_t @ (op.grad_w * gx)))
     q = solution.outlet_flows()
-    d_j2 = op.outlet_op.T @ (q - q.mean())
-    d_obj = op.scatter.T @ (beta * lam2 * d_j1 + (1.0 - beta) * lam1 * d_j2)
+    d_j2 = op.outlet_op_t @ (q - q.mean())
+    d_obj = op.scatter_t @ (beta * lam2 * d_j1 + (1.0 - beta) * lam1 * d_j2)
 
     nu = op.p_offset
     adjoint = solution.lu.adjoint(d_obj[:nu])
 
     d_alpha = problem.alpha_deriv(eps.eps).ravel()
     explicit = 0.5 * beta * lam2 * (
-        op.alpha_face.T @ (x_all ** 2 * op.face_area)) * d_alpha
-    implicit = (op.alpha_avg[:nu].T @ (adjoint * solution.x[:nu])) * d_alpha
+        op.alpha_face_t @ (x_all ** 2 * op.face_area)) * d_alpha
+    implicit = (op.alpha_avg_t @ (adjoint * solution.x[:nu])) * d_alpha
     return (explicit - implicit).reshape(eps.eps.shape)

@@ -39,26 +39,44 @@ class OptimizeResult:
 def _project(candidate: np.ndarray, previous: np.ndarray,
              volume_fraction: float, move_limit: float) -> np.ndarray:
     """Project onto {move limit} ∩ {box} ∩ {volume}: the volume constraint is
-    met by bisecting an additive shift before the combined clip, so all three
-    hold simultaneously at the returned point."""
+    met by an additive shift t before the combined clip, so all three hold
+    simultaneously at the returned point.
+
+    The volume V(t) of the clipped field is piecewise linear and
+    nondecreasing, with slope the share of cells strictly inside their
+    bounds. Newton steps on that slope, bisecting a bracket in [-1, 0]
+    whenever a step leaves it, reach its root once a step leaves every cell
+    on the same side of its bounds (Held, Wolfe & Crowder 1974); t is then
+    stepped down until the clipped mean is at most the volume."""
     lo_bound = np.maximum(previous - move_limit, 0.0)
     hi_bound = np.minimum(previous + move_limit, 1.0)
     clipped = np.clip(candidate, lo_bound, hi_bound)
     if clipped.mean() <= volume_fraction + 1e-15:
         return clipped
-    lo, hi = -1.0, 0.0   # additive shift; -1 empties the field entirely
+    n = candidate.size
+    lo, hi = -1.0, 0.0       # V(lo) <= volume < V(hi); -1 empties the field
+    t, sides, newton = 0.0, None, False
     for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            # lo and hi are adjacent floats: mid rounds onto one of them,
-            # and no later step can move lo
+        shifted = candidate + t
+        vol = np.clip(shifted, lo_bound, hi_bound).mean()
+        lo, hi = (lo, t) if vol > volume_fraction else (t, hi)
+        below, above = shifted <= lo_bound, shifted >= hi_bound
+        last, sides = sides, np.r_[below, above]
+        if vol == volume_fraction or newton and np.array_equal(sides, last):
             break
-        vol = np.clip(candidate + mid, lo_bound, hi_bound).mean()
-        if vol > volume_fraction:
-            hi = mid
-        else:
-            lo = mid
-    return np.clip(candidate + lo, lo_bound, hi_bound)
+        free = n - np.count_nonzero(below | above)
+        t_newton = t + (volume_fraction - vol) * n / free if free else hi
+        newton = lo < t_newton < hi
+        t = t_newton if newton else 0.5 * (lo + hi)
+        if not lo < t < hi:
+            t = lo           # lo and hi are adjacent floats
+            break
+    out = np.clip(candidate + t, lo_bound, hi_bound)
+    down = np.spacing(max(abs(t), 2.0 ** -10))
+    while out.mean() > volume_fraction and t > lo:
+        t, down = max(t - down, lo), 2.0 * down
+        out = np.clip(candidate + t, lo_bound, hi_bound)
+    return out
 
 
 def optimize(problem: TopoProblem, eps0: DensityField | None = None,

@@ -37,7 +37,7 @@ first, then v faces, each in C order of its (x, y) array; cells in C order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -228,6 +228,7 @@ class _NullSpace:
         self.basis = sp.csr_matrix(
             (coef.ravel()[use], (faces[use], ends.ravel()[use])),
             shape=(nu, n))
+        self.basis_t = self.basis.T     # a CSC view, formed once
 
         # R = Z^T S^-1 A Z + sum_f (d_f / s_f) z_f z_f^T over the rows z_f
         # of Z, so each face adds to the four entries its end nodes share
@@ -286,22 +287,36 @@ class NullSpaceLU:
     is solved in the cell Poisson matrix div div^T. In the transposed system
     K^T [w; q] = [r; 0], v = S w meets the held continuity rows, so
     v = Z R^-T Z^T r and q is not needed.
+
+    R is blocked as [[R_ii, upper], [lower, corner]], interior first, with
+    the n_border wall-run columns last. ``coupling`` is R_ii^-1 upper and
+    ``schur`` the inverse of the Schur complement corner - lower coupling,
+    so a reduced solve in either direction makes one interior solve.
     """
 
-    def __init__(self, ns: _NullSpace, d: np.ndarray, interior, border: dict):
+    def __init__(self, ns: _NullSpace, d: np.ndarray, interior,
+                 lower: np.ndarray, schur: np.ndarray, coupling: np.ndarray):
         self.ns = ns
         self.d = d
         self.interior = interior     # BandLU or SuperLU of the interior block
-        self.border = border         # per trans: lower, upper, Schur inverse
+        self.lower, self.schur, self.coupling = lower, schur, coupling
 
-    def _reduced(self, rhs: np.ndarray, trans: str) -> np.ndarray:
-        """Solve R psi = rhs (or R^T) through the Schur complement of the
-        interior block."""
-        lower, upper, schur = self.border[trans]
+    def _reduced(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve R psi = rhs by block elimination of the interior block:
+        y = R_ii^-1 rhs_i, runs = schur (rhs_b - lower y) and
+        psi_i = y - coupling runs."""
         ni = self.ns.n_interior
-        y = self.interior.solve(rhs[:ni], trans)
-        runs = schur @ (rhs[ni:] - lower @ y)
-        return np.r_[y - self.interior.solve(upper @ runs, trans), runs]
+        y = self.interior.solve(rhs[:ni])
+        runs = self.schur @ (rhs[ni:] - self.lower @ y)
+        return np.r_[y - self.coupling @ runs, runs]
+
+    def _reduced_t(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve R^T psi = rhs: runs = schur^T (rhs_b - coupling^T rhs_i),
+        then psi_i = R_ii^-T (rhs_i - lower^T runs)."""
+        ni = self.ns.n_interior
+        runs = self.schur.T @ (rhs[ni:] - self.coupling.T @ rhs[:ni])
+        return np.r_[self.interior.solve(rhs[:ni] - self.lower.T @ runs,
+                                         trans="T"), runs]
 
     def _momentum(self, u: np.ndarray) -> np.ndarray:
         """(A + D) u."""
@@ -311,7 +326,7 @@ class NullSpaceLU:
         """Velocity and pressure of the operator's right-hand side."""
         ns = self.ns
         u = ns.u_p + ns.basis @ self._reduced(
-            ns.basis.T @ ((ns.top - self._momentum(ns.u_p)) / ns.s), "N")
+            ns.basis_t @ ((ns.top - self._momentum(ns.u_p)) / ns.s))
         pressure = ns.pressure.copy()
         pressure[ns.held] = ns.poisson.solve(
             ns.div_held @ ((self._momentum(u) - ns.top) / ns.s))
@@ -321,7 +336,7 @@ class NullSpaceLU:
         """Velocity part w of K^T [w; q] = [rhs; 0], for a right-hand side
         on the free faces."""
         ns = self.ns
-        return ns.basis @ self._reduced(ns.basis.T @ rhs, "T") / ns.s
+        return ns.basis @ self._reduced_t(ns.basis_t @ rhs) / ns.s
 
 
 def factor(op: "StokesOperator", drag: np.ndarray) -> NullSpaceLU:
@@ -334,18 +349,19 @@ def factor(op: "StokesOperator", drag: np.ndarray) -> NullSpaceLU:
     d = drag[:ns.s.size]
     values = ns.base + ns.drag_map @ d
     a, b = ns.split
+    ni, nb = ns.n_interior, ns.n_border
     interior = ns.factor_interior(values[:a])
-    lower = np.zeros((ns.n_border, ns.n_interior))
+    lower = np.zeros((nb, ni))
     lower.flat[ns.lower_at] = values[a:b]
-    right = np.zeros((ns.n_interior + ns.n_border, ns.n_border))
+    right = np.zeros((ni + nb, nb))
     right.flat[ns.right_at] = values[b:]
-    upper, corner = right[:ns.n_interior], right[ns.n_interior:]
+    upper, corner = right[:ni], right[ni:]
+    coupling = interior.solve(upper)
     try:
-        schur = np.linalg.inv(corner - lower @ interior.solve(upper))
+        schur = np.linalg.inv(corner - lower @ coupling)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"singular Stokes-Brinkman system: {exc}") from exc
-    return NullSpaceLU(ns, d, interior, {"N": (lower, upper, schur),
-                                         "T": (upper.T, lower.T, schur.T)})
+    return NullSpaceLU(ns, d, interior, lower, schur, coupling)
 
 
 class StokesOperator:
@@ -474,6 +490,15 @@ class StokesOperator:
         self.outlet_op = sp.csr_matrix(flux)
         self.inlet_flux = grid.inlet_flux()
 
+        # the transposes the adjoint gradient applies, formed once per grid
+        # as CSC views of the CSR operators (no copy); alpha_avg_t takes
+        # only the velocity rows of alpha_avg
+        self.scatter_t = self.scatter.T
+        self.grad_op_t = self.grad_op.T
+        self.alpha_face_t = self.alpha_face.T
+        self.outlet_op_t = self.outlet_op.T
+        self.alpha_avg_t = self.alpha_avg[:self.p_offset].T
+
     # ------------------------------------------------------------------
     # solving
 
@@ -511,6 +536,10 @@ class FlowSolution:
     x: np.ndarray
     lu: NullSpaceLU          # from factor(); serves the adjoint
     residual: float
+    # (problem, design, parts) of the objective's last dissipation
+    # quadratures on this solution (see objective._dissipation_parts)
+    dissipation_memo: tuple | None = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     def __post_init__(self) -> None:
         g = self.op.grid

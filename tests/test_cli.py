@@ -113,6 +113,34 @@ class TestPredict:
         assert capsys.readouterr().err == ("error: nozzle_area must be finite "
                                            "and > 0, got 0.0\n")
 
+    @pytest.mark.parametrize("old, new, code, message", [
+        ("do_over_l = 0.3", "do_over_l = 1e-308", 2,
+         "error: (d_o/2)^4 must be finite and > 0, got 0.0 for (d_o/2) = "
+         "1e-311 m"),
+        ("h_over_l = 0.3", "h_over_l = 1e-308", 2,
+         "error: H^3 must be finite and > 0, got 0.0 for H = 2e-311 m"),
+        ("h_over_l = 0.3", "h_over_l = 1e308", 2,
+         "error: H^3 must be finite and > 0, got inf for H = 2e+305 m"),
+        ("flow_mlpm = 600", "flow_mlpm = 1e-308", 3,
+         "infeasible: pump power must be > 0, got 0.0 at flow_total "),
+        ("chip_side_mm = 8", "chip_side_mm = 1e308", 2,
+         "error: nozzle_area must be finite and > 0, got inf"),
+        ("t_over_l = 0.5", "t_over_l = 1e308", 2,
+         "error: dp must be finite, got inf"),
+        ("do_over_l = 0.3", "do_over_l = 1e-77", 2,
+         "error: dp_out_nozzle must be finite, got inf"),
+    ], ids=["do_1e-308", "h_1e-308", "h_1e308", "flow_1e-308",
+            "chip_1e308", "t_1e308", "do_1e-77"])
+    def test_extreme_input_exits_naming_the_quantity(
+            self, tmp_path, capsys, old, new, code, message):
+        # each ended in ZeroDivisionError or OverflowError, or wrote an inf
+        # pressure with exit 0 (t/L, d_o/L = 1e-77)
+        cfg = write(tmp_path, "p.ini", PREDICT_INI.replace(old, new))
+        assert run(["predict", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "out").exists()
+
 
 EXPLORE_INI = PREDICT_INI + """
 [sweep]
@@ -140,6 +168,23 @@ class TestExploreParetoCop:
         rows = list(csv.DictReader(lines))
         assert rows[0]["n"] == "2" and rows[1]["n"] == "4"
         assert all(r["status"] == "ok" for r in rows)
+
+    @pytest.mark.parametrize("old, new, code, message", [
+        ("value_mlpm = 600", "value_mlpm = 1e-308", 3,
+         "infeasible: pump power must be > 0, got 0.0"),
+        ("t_over_l = 0.5\n\n[constraint]", "t_over_l = 1e308\n\n[constraint]",
+         2, "error: dp must be finite, got inf"),
+    ], ids=["flow_1e-308", "t_1e308"])
+    def test_sweep_with_zero_or_inf_pressure_exits(
+            self, tmp_path, capsys, old, new, code, message):
+        # the rows were written as ok with dp 0 and cop inf, or with dp and
+        # wp_W inf, and exit 0
+        assert old in EXPLORE_INI
+        cfg = write(tmp_path, "e.ini", EXPLORE_INI.replace(old, new))
+        assert run(["explore", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_pareto_matches_brute_force(self, tmp_path):
         rng = np.random.RandomState(0)
@@ -421,6 +466,27 @@ dt_target_k = {dt}
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d_min", ["1e-308", "5e-324"])
+    def test_tiny_d_min_exit_2_naming_it(self, tmp_path, capsys, d_min):
+        # the fits' d_min ** -4 overflowed: an OverflowError traceback
+        pmap = write(tmp_path, "map.csv", "100,0,150\n0,250,0\n80,0,120\n")
+        cfg = write(tmp_path, "h.ini", f"""
+[fluid]
+name = water
+
+[map]
+file = {pmap}
+flow_mlpm = 50
+dt_target_k = 25
+d_min_mm = {d_min}
+""")
+        assert run(["hotspot", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: d_min = {float(d_min)} mm is too small for the fits: "
+            "d_min^-4.0 overflows\n")
 
     @pytest.mark.parametrize("flow", [0.5, 1, 2])
     def test_hot_cell_at_small_flow_gets_flagged_plan(self, tmp_path, flow):

@@ -17,7 +17,8 @@ Stokes-Brinkman solver.
   finite differences;
 - the optimizer's ``_project`` returns a point in the box [0, 1], within
   the move limit of the previous design and at most at the volume
-  fraction.
+  fraction; on it when the volume binds; and equal to a bisection of the
+  shift.
 
 Examples are few and derandomized so the suite stays fast and repeatable.
 """
@@ -233,6 +234,35 @@ def _fields(*ranges):
         np.float64, (n, 4), elements=st.floats(lo, hi)) for lo, hi in ranges)))
 
 
+def _bisected(candidate, previous, volume, move_limit):
+    """Reference projection: bisect the shift in [-1, 0] down to adjacent
+    floats and keep the side whose clipped mean is at most the volume."""
+    lo_bound = np.maximum(previous - move_limit, 0.0)
+    hi_bound = np.minimum(previous + move_limit, 1.0)
+    clipped = np.clip(candidate, lo_bound, hi_bound)
+    if clipped.mean() <= volume + 1e-15:
+        return clipped, False
+    lo, hi = -1.0, 0.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if np.clip(candidate + mid, lo_bound, hi_bound).mean() > volume:
+            hi = mid
+        else:
+            lo = mid
+    return np.clip(candidate + lo, lo_bound, hi_bound), True
+
+
+def assert_projection(out, candidate, previous, volume, move_limit):
+    """Feasible, on the volume when it binds, and equal to the bisection."""
+    assert out.min() >= 0.0 and out.max() <= 1.0
+    assert np.abs(out - previous).max() <= move_limit + ROUND_OFF
+    assert out.mean() <= volume + ROUND_OFF
+    ref, binds = _bisected(candidate, previous, volume, move_limit)
+    assert np.abs(out - ref).max() <= ROUND_OFF
+    if binds:
+        assert abs(out.mean() - volume) <= ROUND_OFF
+
+
 @SETTINGS
 @given(_fields((0.0, 1.0), (-1.0, 1.0)), st.floats(0.01, 0.5),
        st.floats(0.0, 1.0))
@@ -243,11 +273,9 @@ def test_projected_step_is_feasible(fields, move_limit, slack):
     # stays within the move limit
     previous, direction = fields
     volume = previous.mean() + slack * (1.0 - previous.mean())
-    out = _project(previous + move_limit * direction, previous, volume,
-                   move_limit)
-    assert out.min() >= 0.0 and out.max() <= 1.0
-    assert np.abs(out - previous).max() <= move_limit + ROUND_OFF
-    assert out.mean() <= volume + ROUND_OFF
+    candidate = previous + move_limit * direction
+    out = _project(candidate, previous, volume, move_limit)
+    assert_projection(out, candidate, previous, volume, move_limit)
 
 
 @SETTINGS
@@ -256,5 +284,4 @@ def test_projected_start_is_feasible(fields, volume):
     # optimize projects its start design with a move limit of 1
     eps0, = fields
     out = _project(eps0, eps0, volume, 1.0)
-    assert out.min() >= 0.0 and out.max() <= 1.0
-    assert out.mean() <= volume + ROUND_OFF
+    assert_projection(out, eps0, eps0, volume, 1.0)

@@ -226,6 +226,37 @@ def test_poisson_solves_per_state_and_adjoint():
     assert poisson.solve.call_count == 1
 
 
+@pytest.mark.parametrize("score_max, path", [(np.inf, "band"),
+                                             (0.0, "splu")])
+def test_interior_solves_per_factor_state_and_adjoint(score_max, path):
+    # factor solves R_ii against all border columns at once and keeps the
+    # result, so that state() and adjoint() each make one interior solve
+    grid = manifold_grid()
+    with mock.patch.object(solver, "BAND_SCORE_MAX", score_max):
+        op = StokesOperator(grid, water().viscosity)
+    ns = op.null_space
+    assert (ns.band is not None) == (path == "band") and ns.n_border == 3
+    factor_interior = ns.factor_interior
+    made = []
+
+    def spy(values):
+        made.append(mock.Mock(wraps=factor_interior(values)))
+        return made[-1]
+
+    with mock.patch.object(ns, "factor_interior", spy):
+        sol = op.solve(np.ones(grid.n_cells))
+    interior, = made
+    factor_call, state_call = interior.solve.call_args_list
+    assert factor_call.args[0].shape == (ns.n_interior, ns.n_border)
+    assert state_call.args[0].shape == (ns.n_interior,)
+    assert state_call.kwargs.get("trans", "N") == "N"
+    sol.lu.adjoint(np.ones(op.p_offset))
+    assert interior.solve.call_count == 3
+    adjoint_call = interior.solve.call_args
+    assert adjoint_call.args[0].shape == (ns.n_interior,)
+    assert adjoint_call.kwargs["trans"] == "T"
+
+
 def manifold_grid():
     nx, ny = 100, 30
     return Grid2D(nx, ny, 10e-3 / nx, 2e-3 / ny, [
