@@ -176,11 +176,6 @@ def cmd_explore(args) -> int:
 
 def cmd_pareto(args) -> int:
     src = args.input
-    if src is None and args.config:
-        cp = config.read(args.config)
-        src = config.section(cp, "pareto").get("input")
-    if src is None:
-        raise ConfigError("pareto needs --input CSV (or [pareto] input=...)")
     for rk, wk in (("r_th_K_W", "wp_W"), ("r_th", "w_p")):
         try:
             rows = tables.read_csv(src, {rk: float, wk: float}, blank=(rk, wk))
@@ -253,7 +248,7 @@ def cmd_hotspot(args) -> int:
     plan = explorer.hotspot_synthesize(
         power_map,
         flow_total=config.value(sec, "flow_mlpm", scale=M3S_PER_MLPM),
-        dT_target=config.value(sec, "dt_target_k"), fluid=config.fluid(cp),
+        dT_target=config.value(sec, "dt_target_k"),
         bounds=(config.value(sec, "d_min_mm", 0.1),
                 config.value(sec, "d_max_mm", 0.9)))
     tables.write_csv(
@@ -489,29 +484,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="multi-jet impingement cooler design toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, required=False, config=None):
-        (config or p).add_argument("--config", required=required,
-                                   help="INI config / problem / dataset file")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="json",
-                       help="format for report payloads (tabular artifacts "
-                            "are always CSV)")
-
+    config_help = "INI config / problem / dataset file"
+    out_help = "output directory"
     for name in ("predict", "explore", "cop", "hotspot", "reduce", "gci"):
-        common(sub.add_parser(name), required=True)
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True, help=config_help)
+        p.add_argument("--out", default="out", help=out_help)
+        if name not in ("explore", "cop"):     # the _write_payload commands
+            p.add_argument("--format", choices=("csv", "json"),
+                           default="json", help="format for report payloads "
+                           "(tabular artifacts are always CSV)")
 
     p = sub.add_parser("pareto")
-    common(p)
-    p.add_argument("--input", help="CSV of points (sweep output or r_th,w_p)")
+    p.add_argument("--out", default="out", help=out_help)
+    p.add_argument("--input", required=True,
+                   help="CSV of points (sweep output or r_th,w_p)")
 
     p = sub.add_parser("topo")
     source = p.add_mutually_exclusive_group(required=True)
-    common(p, config=source)
+    source.add_argument("--config", help=config_help)
+    p.add_argument("--out", default="out", help=out_help)
     source.add_argument("--selftest", action="store_true",
                         help="run the analytic channel-flow convergence check")
 
     p = sub.add_parser("benchmark")
-    common(p)
+    p.add_argument("--out", default="out", help=out_help)
     p.add_argument("--fixture", help="alternative fixture CSV")
     p.add_argument("--user-r-star", type=float, default=None)
     p.add_argument("--user-pump-w", type=float, default=None)

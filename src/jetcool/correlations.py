@@ -121,9 +121,12 @@ def friction_predict(inputs: PredictiveInputs) -> FrictionPrediction:
     """
     a, h, t, re = (inputs.di_over_L, inputs.H_over_L, inputs.t_over_L,
                    inputs.re)
-    t_over_di = t / a
-    k = friction_re_coef(a, h, t) * re ** F_RE_EXP + K_INF
-    return FrictionPrediction(k / t_over_di, k, _flagged(
+    # an extreme t/L overflows k to inf, which the dp check reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_over_di = t / a
+        k = friction_re_coef(a, h, t) * re ** F_RE_EXP + K_INF
+        f = k / t_over_di
+    return FrictionPrediction(f, k, _flagged(
         ("di_over_L_out_of_range", (a < 0.05) | (a > 0.6), a),
         ("t_over_L_out_of_range", t < 0.1, t),
         ("H_over_di_out_of_range", h / a < 0.2, h / a),

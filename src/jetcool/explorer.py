@@ -245,7 +245,7 @@ def _lambert_w(log_z):
 
 
 def hotspot_synthesize(power_map: PowerMap, flow_total: float,
-                       dT_target: float, fluid: pr.FluidProps,
+                       dT_target: float,
                        bounds: tuple[float, float] = (0.1, 0.9),
                        htc_model: corr.HotspotHtcModel | None = None,
                        dp_model: corr.NozzlePressureModel | None = None) -> NozzlePlan:
@@ -259,9 +259,9 @@ def hotspot_synthesize(power_map: PowerMap, flow_total: float,
     clamped to d_min (over-cooled) or to the htc peak (under-cooled) and
     flagged. A plan whose flows miss flow_total by more than the bisection
     tolerance raises ``SolverError``. The default fitted constants hold for
-    1 mm pitch cells with the reference coolant; other pitches or coolants
-    require explicitly refitted models (fit_htc_model), whose constants
-    must give the htc a single peak in d at fixed plenum pressure.
+    1 mm pitch cells cooled by water; other pitches or coolants require
+    explicitly refitted models (fit_htc_model), whose constants must give
+    the htc a single peak in d at fixed plenum pressure.
 
     At each plenum pressure the htc peak over d is taken in closed form and
     every cell is solved below it by safeguarded Newton steps, as one array.

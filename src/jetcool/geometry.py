@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidGeometryError, check
 
 CM2_PER_M2 = 1e4
@@ -75,9 +77,10 @@ class CoolerArray:
 
     @property
     def nozzle_area(self) -> float:
-        """Inlet nozzle cross-section pi*d_i^2/4 [m2]; d_i * d_i is inf
-        where a float d_i ** 2 would raise OverflowError."""
-        return math.pi * (self.d_i * self.d_i) / 4.0
+        """Inlet nozzle cross-section pi*d_i^2/4 [m2]; d_i * d_i is inf,
+        without a warning, where a float d_i ** 2 would raise OverflowError."""
+        with np.errstate(over="ignore"):
+            return math.pi * (self.d_i * self.d_i) / 4.0
 
     @property
     def area(self) -> float:

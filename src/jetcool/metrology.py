@@ -163,14 +163,21 @@ def gci(f1_fine: float, f2: float, f3_coarse: float, r: float = 2.0,
           "f1 and f2 must be nonzero: the index is relative to them")
     d32 = f3_coarse - f2
     d21 = f2 - f1_fine
-    if d32 == 0 or d21 == 0 or (d32 > 0) != (d21 > 0):
+    if d32 == 0 or d21 == 0 or d32 == d21 or (d32 > 0) != (d21 > 0):
         raise NonMonotoneConvergenceError(
-            f"grid-level differences {d21:g}, {d32:g} must be nonzero and "
-            "same-signed")
-    p = math.log(d32 / d21) / math.log(r)
+            f"grid-level differences {d21:g}, {d32:g} must be nonzero, "
+            "same-signed and unequal (order p != 0)")
+    steps = d32 / d21
+    check(0 < steps < math.inf, "(f3 - f2)/(f2 - f1) must be finite and > 0, "
+          "got {}", steps)
+    p = math.log(steps) / math.log(r)
     amp = fs * r ** p / (r ** p - 1.0)
     gci23 = amp * abs(d32 / f2)
     gci12 = amp * abs(d21 / f1_fine)
-    ratio = gci23 / (r ** p * gci12)
+    scale = r ** p * gci12
+    check(abs(gci23) < math.inf and 0 < abs(scale) < math.inf, "GCI_23 = {} "
+          "and r^p * GCI_12 = {} must be finite, the latter nonzero", gci23,
+          scale)
+    ratio = gci23 / scale
     return GciResult(p=p, gci12=gci12, gci23=gci23, asymptotic_ratio=ratio,
                      in_asymptotic_range=abs(ratio - 1.0) <= GCI_ASYMPTOTIC_TOL)

@@ -45,12 +45,13 @@ class FluidProps:
     reference_temp: float
 
     def __post_init__(self) -> None:
-        for field in ("density", "viscosity", "specific_heat",
-                      "conductivity", "reference_temp"):
+        for field, low in (("density", 0), ("viscosity", 0),
+                           ("specific_heat", 0), ("conductivity", 0),
+                           ("reference_temp", -273.15)):
             val = getattr(self, field)
-            check((val > 0) & (val < math.inf),
-                  "fluid {!r}: {} must be finite and > 0, got {}", self.name,
-                  field, val)
+            check((val > low) & (val < math.inf),
+                  "fluid {!r}: {} must be finite and > {}, got {}", self.name,
+                  field, low, val)
 
 
 @dataclass(frozen=True)

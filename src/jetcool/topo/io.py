@@ -16,7 +16,7 @@ Problem files are INI-style:
     volume_fraction = 0.5
     q = 0.01
     max_iters = 100
-    ; optional: lambda1, lambda2, u_ref, alpha_assignment = fluid|literal
+    ; optional: q_continuation = 0.01 0.1, alpha_assignment = fluid|literal
 
     [segments]
     list =
@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import config, tables
-from ..errors import ConfigError, InvalidInputError
+from ..errors import ConfigError, InvalidInputError, check
 # Unused here: perfbench/spans.py patches jetcool.topo.io.builtin_fluids and
 # fails without it. Drop it with the next change to that target list.
 from ..props import builtin_fluids  # noqa: F401
@@ -74,14 +74,15 @@ def parse_problem_file(path: str | Path) -> tuple[TopoProblem, int, tuple]:
     grid = Grid2D(nx=nx, ny=ny, dx=lx / nx, dy=ly / ny, segments=segments)
 
     psec = config.section(cp, "problem")
+    for key in ("lambda1", "lambda2", "u_ref"):
+        check(key not in psec, "[problem] {} is not a setting: the objective "
+              "weights are fixed at 1/q_in^2 and mu*u_ref^2/L^2; adjust beta "
+              "instead", key, error=ConfigError)
     problem = TopoProblem(
         grid=grid, fluid=config.fluid(cp),
         beta=config.value(psec, "beta", 0.5),
         volume_fraction=config.value(psec, "volume_fraction", 1.0),
         q=config.value(psec, "q", 0.01),
-        lambda1=config.value(psec, "lambda1", None),
-        lambda2=config.value(psec, "lambda2", None),
-        u_ref=config.value(psec, "u_ref", None),
         alpha_assignment=psec.get("alpha_assignment", "fluid"))
     schedule = config.values(psec, "q_continuation", default=())
     return problem, config.value(psec, "max_iters", 100, cast=int), schedule

@@ -58,10 +58,11 @@ def inverse_permeability_deriv(eps, q: float, alpha_max: float,
 class TopoProblem:
     """Weighted flow-uniformity / dissipation design problem on a grid.
 
-    J = (1 - beta) * lambda1 * J2 + beta * lambda2 * J1 with
-    J1 the Brinkman + viscous dissipation and J2 the outlet-flux spread.
-    lambda1 defaults to 1/q_in^2 and lambda2 to mu * u_ref^2 / L^2 (both
-    overridable; only relative comparisons of J are meaningful).
+    J = (1 - beta) * lambda1 * J2 + beta * lambda2 * J1 with J1 the
+    Brinkman + viscous dissipation, J2 the outlet-flux spread and fixed
+    ``weights``. Only relative comparisons of J are meaningful, so weights
+    lambda1', lambda2' at beta act as these at beta* = 1 / (1 + rho *
+    lambda2 / lambda1), rho = (1 - beta) * lambda1' / (beta * lambda2').
     """
 
     grid: Grid2D
@@ -69,9 +70,6 @@ class TopoProblem:
     beta: float = 0.5
     volume_fraction: float = 1.0
     q: float = 0.01
-    lambda1: float | None = None
-    lambda2: float | None = None
-    u_ref: float | None = None
     alpha_assignment: str = "fluid"   # "fluid" (consistent) or "literal" (as printed)
 
     def __post_init__(self) -> None:
@@ -81,10 +79,6 @@ class TopoProblem:
               "volume_fraction must be in (0, 1], got {}", self.volume_fraction)
         check(0 < self.q < np.inf, "q must be finite and > 0, got {}",
               self.q)
-        for name in ("lambda1", "lambda2", "u_ref"):
-            val = getattr(self, name)
-            check(val is None or 0.0 < val < np.inf,
-                  "{} must be finite and > 0, got {}", name, val)
         if self.alpha_assignment not in ("fluid", "literal"):
             raise InvalidInputError(
                 f"alpha_assignment must be 'fluid' or 'literal', "
@@ -111,17 +105,11 @@ class TopoProblem:
         return inverse_permeability_deriv(eps, self.q, solid, fluid_side)
 
     def weights(self) -> tuple[float, float]:
-        """(lambda1, lambda2) with defaults resolved."""
-        lam1 = self.lambda1
-        if lam1 is None:
-            q_in = self.grid.inlet_flux()
-            lam1 = 1.0 / q_in ** 2 if q_in != 0 else 1.0
-        lam2 = self.lambda2
-        if lam2 is None:
-            u_ref = self.u_ref
-            if u_ref is None:
-                u_ref = max((seg.value for seg in self.grid.segments
-                             if seg.kind == "inlet"), default=1.0)
-            length = max(self.grid.lx, self.grid.ly)
-            lam2 = self.mu * u_ref ** 2 / length ** 2
-        return lam1, lam2
+        """(lambda1, lambda2) = (1/q_in^2, mu u_ref^2/L^2): q_in the inlet
+        flux, u_ref the largest inlet speed, L the larger domain side."""
+        q_in = self.grid.inlet_flux()
+        lam1 = 1.0 / q_in ** 2 if q_in != 0 else 1.0
+        u_ref = max((seg.value for seg in self.grid.segments
+                     if seg.kind == "inlet"), default=1.0)
+        length = max(self.grid.lx, self.grid.ly)
+        return lam1, self.mu * u_ref ** 2 / length ** 2

@@ -374,7 +374,11 @@ class StokesOperator:
         nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
         nfu, nc = (nx + 1) * ny, grid.n_cells
         self.n_faces = nfu + nx * (ny + 1)
-        cxx, cyy = mu / dx ** 2, mu / dy ** 2
+        # numpy scalars: an extreme cell size gives inf or 0, not an error
+        with np.errstate(over="ignore", divide="ignore"):
+            cxx, cyy = mu / np.float64(dx) ** 2, mu / np.float64(dy) ** 2
+        check(0 < cxx < np.inf and 0 < cyy < np.inf, "the viscous coefficients"
+              " mu/dx^2 = {} and mu/dy^2 = {} must be finite and > 0", cxx, cyy)
         eye = sp.identity
 
         def kron(a, b):

@@ -279,7 +279,7 @@ def test_11_hotspot_synthesis():
     density = np.array([[100.0, 0.0, 150.0], [0.0, 250.0, 0.0],
                         [80.0, 0.0, 120.0]])
     plan = explorer.hotspot_synthesize(explorer.PowerMap(density),
-                                       50 * MLPM, 25.0, water())
+                                       50 * MLPM, 25.0)
     dp_model = corr.NozzlePressureModel()
     active = plan.d_mm > 0
     dps = np.array([dp_model.evaluate(d, m) for d, m in
@@ -300,7 +300,7 @@ def test_11b_hotspot_synthesis_meets_every_cell():
     pitch_mm, flow_mlpm, dt_k = ref["mild.settings"]
     assert pitch_mm == 1.0
     plan = explorer.hotspot_synthesize(explorer.PowerMap(density),
-                                       flow_mlpm * MLPM, dt_k, water())
+                                       flow_mlpm * MLPM, dt_k)
     assert plan.infeasible_cells == () and plan.warnings == ()
     active = density > 0
     np.testing.assert_allclose(plan.htc[active],

@@ -61,6 +61,18 @@ class TestPredict:
                     "--out", str(tmp_path / "out")]) == 2
         assert "fluid" in capsys.readouterr().err
 
+    def test_coolant_characterized_below_0_c(self, tmp_path):
+        # a reference temperature of -10 degC exited 2 as "not > 0"
+        catalog = write(tmp_path, "fluids.csv", USER_FLUIDS.replace(
+            "0.5,20\n", "0.5,-10\n"))
+        cfg = write(tmp_path, "p.ini", PREDICT_INI.replace(
+            "[fluid]\nname = water",
+            f"[fluid]\nname = brine\ncatalog = {catalog}"))
+        assert run(["predict", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 0
+        payload = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert payload["inputs"]["fluid"] == "brine"
+
     def test_zero_flow_exit_3(self, tmp_path, capsys):
         cfg = write(tmp_path, "p.ini",
                     PREDICT_INI.replace("flow_mlpm = 600", "flow_mlpm = 0"))
@@ -228,22 +240,19 @@ class TestExploreParetoCop:
                     "--out", str(tmp_path / "out")]) == 0
         assert "2 non-dominated of 2 points" in capsys.readouterr().out
 
-    def test_pareto_input_from_config(self, tmp_path, capsys):
-        src = write(tmp_path, "pts.csv",
-                    "r_th,w_p\n0.1,0.2\n0.2,0.1\n0.3,0.3\n")
-        cfg = write(tmp_path, "p.ini", f"[pareto]\ninput = {src}\n")
-        assert run(["pareto", "--config", cfg,
-                    "--out", str(tmp_path / "out")]) == 0
-        assert "2 non-dominated of 3 points" in capsys.readouterr().out
-
     @pytest.mark.parametrize("config", [False, True])
     def test_pareto_without_input_exit_2(self, tmp_path, capsys, config):
+        # the points come from --input alone; a config file cannot name them
         argv = ["pareto", "--out", str(tmp_path / "out")]
         if config:
-            argv += ["--config", write(tmp_path, "p.ini", "[pareto]\n")]
+            argv += ["--config", write(tmp_path, "p.ini", "[pareto]\ninput = "
+                                       + write(tmp_path, "pts.csv",
+                                               "r_th,w_p\n0.1,0.2\n"))]
         assert run(argv) == 2
-        assert capsys.readouterr().err == ("error: pareto needs --input CSV "
-                                           "(or [pareto] input=...)\n")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: jetcool pareto")
+        assert err.endswith("error: the following arguments are required: "
+                            "--input\n")
 
     def test_pareto_input_directory_exit_2(self, tmp_path, capsys):
         assert run(["pareto", "--input", str(tmp_path),
@@ -265,6 +274,22 @@ flow_mlpm = 300
         lines = (tmp_path / "out" / "cop.csv").read_text().splitlines()
         assert len(lines) == 4                       # header + 3 n values
         assert len(lines[0].split(",")) == 4         # n, density, 2 H columns
+
+    def test_cop_with_overflowing_nozzle_area_exit_2(self, tmp_path, capsys):
+        # the array d_i * d_i overflowed with a numpy warning on stderr
+        cfg = write(tmp_path, "c.ini", PREDICT_INI.replace(
+            "chip_side_mm = 8", "chip_side_mm = 1e308") + """
+[cop]
+n = 2 4
+h_over_l = 0.3
+di_over_l = 0.3
+t_over_l = 0.5
+flow_mlpm = 300
+""")
+        assert run(["cop", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("error: nozzle_area must be finite "
+                                           "and > 0, got inf\n")
 
     def test_cop_matches_explore_with_heated_fraction(self, tmp_path):
         ini = PREDICT_INI.replace("tc_mm = 0.2",
@@ -354,6 +379,22 @@ dt_target_k = 25
             (tmp_path / "out" / "hotspot_summary.json").read_text())
         assert summary["flow_total_mlpm"] == pytest.approx(30.0, rel=1e-6)
         assert summary["infeasible_cells"] == []
+
+    def test_map_path_reads_no_fluid(self, tmp_path):
+        # the fits hold for water, so [fluid] does not change the plan
+        pmap = tmp_path / "map.csv"
+        np.savetxt(pmap, np.array([[100.0, 0.0], [200.0, 150.0]]),
+                   delimiter=",")
+        plan = f"[map]\nfile = {pmap}\nflow_mlpm = 30\ndt_target_k = 25\n"
+        outputs = []
+        for fluid in ("", "[fluid]\nname = water\n",
+                      "[fluid]\nname = eg-50-50\n"):
+            out = tmp_path / f"out{len(outputs)}"
+            cfg = write(tmp_path, "h.ini", fluid + plan)
+            assert run(["hotspot", "--config", cfg, "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in
+                            ("nozzle_plan.csv", "hotspot_summary.json")])
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_percent_in_config_value(self, tmp_path):
         # config values are taken literally: no '%' interpolation
@@ -660,6 +701,37 @@ list =
         assert run(["topo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "[grid] nx and ny must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, coefficient", [
+        ("lx_mm = 2", "lx_mm = 1e-308", "mu/dx^2 = inf"),
+        ("lx_mm = 2", "lx_mm = 1e308", "mu/dx^2 = 0.0"),
+        ("ly_mm = 1", "ly_mm = 1e-308", "mu/dy^2 = inf"),
+        ("ly_mm = 1", "ly_mm = 1e308", "mu/dy^2 = 0.0")],
+        ids=["lx_1e-308", "lx_1e308", "ly_1e-308", "ly_1e308"])
+    def test_extreme_cell_size_exit_2(self, tmp_path, capsys, old, new,
+                                      coefficient):
+        # each ended in ZeroDivisionError or OverflowError
+        cfg = write(tmp_path, "t.ini", """
+[grid]
+nx = 8
+ny = 4
+lx_mm = 2
+ly_mm = 1
+
+[fluid]
+name = water
+
+[problem]
+
+[segments]
+list =
+    left 0 4 inlet constant 0.01
+    right 0 4 outlet_pressure
+""".replace(old, new))
+        assert run(["topo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the viscous coefficients ")
+        assert coefficient in err and "Traceback" not in err
+
     def test_selftest(self, capsys):
         assert run(["topo", "--selftest"]) == 0
         out = capsys.readouterr().out
@@ -798,6 +870,26 @@ class TestReduceGci:
                     "[gci]\nf1 = 0\nf2 = 0.9\nf3 = 1.0\n")
         assert run(["gci", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "f1 and f2 must be nonzero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values, code, message", [
+        ("1e308 0.9 0.7", 2, "error: GCI_23 = -5.5555555555555e-310 and "
+         "r^p * GCI_12 = -0.0 must be finite, the latter nonzero"),
+        ("1 2 3", 3, "infeasible: grid-level differences 1, 1 must be "
+         "nonzero, same-signed and unequal (order p != 0)"),
+        ("1 1.000000000000001 1e308", 2, "error: (f3 - f2)/(f2 - f1) must be "
+         "finite and > 0, got inf")],
+        ids=["r_p_underflow", "p_0", "steps_overflow"])
+    def test_gci_out_of_float_range_exits(self, tmp_path, capsys, values,
+                                          code, message):
+        # these ended in ZeroDivisionError, or wrote nan with exit 0
+        f1, f2, f3 = values.split()
+        cfg = write(tmp_path, "g.ini", f"[gci]\nf1 = {f1}\nf2 = {f2}\n"
+                                       f"f3 = {f3}\n")
+        assert run(["gci", "--config", cfg, "--out", str(tmp_path / "o")]) \
+            == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 FIXTURE_HEADER = ("material,authors,year,application,coolant,n_jets,"
@@ -1081,6 +1173,43 @@ class TestCommandLine:
     def test_topo_takes_config_or_selftest(self, capsys, argv, message):
         assert run(argv) == 2
         assert message in capsys.readouterr().err
+
+    OPTIONS = {
+        "predict": ["--config", "--out", "--format"],
+        "explore": ["--config", "--out"],
+        "cop": ["--config", "--out"],
+        "hotspot": ["--config", "--out", "--format"],
+        "reduce": ["--config", "--out", "--format"],
+        "gci": ["--config", "--out", "--format"],
+        "pareto": ["--out", "--input"],
+        "topo": ["--config", "--out", "--selftest"],
+        "benchmark": ["--out", "--fixture", "--user-r-star", "--user-pump-w",
+                      "--user-area-cm2", "--user-label"],
+    }
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        sub, = (action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+        options = {name: [flag for action in parser._actions
+                          for flag in action.option_strings
+                          if flag not in ("-h", "--help")]
+                   for name, parser in sub.choices.items()}
+        assert list(options.items()) == list(self.OPTIONS.items())
+        assert sum(map(len, options.values())) == 27
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["explore", "--config", "e.ini", "--format", "csv"], "--format csv"),
+        (["cop", "--config", "c.ini", "--format", "json"], "--format json"),
+        (["topo", "--config", "t.ini", "--format", "csv"], "--format csv"),
+        (["benchmark", "--config", "x.ini"], "--config x.ini")],
+        ids=["explore_format", "cop_format", "topo_format", "benchmark_config"])
+    def test_flag_the_command_does_not_read_exit_2(self, tmp_path, capsys,
+                                                   argv, flag):
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: jetcool ")
+        assert err.endswith(f"error: unrecognized arguments: {flag}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_usage_error_and_help_return_their_codes(self, capsys):
         assert run(["predict", "--config", "p.ini", "--bogus"]) == 2

@@ -59,8 +59,7 @@ MINIMAL = {
                 "constraint": {"value_mlpm": "600"}},
     "cop": {"geometry": CHIP, "fluid": FLUID,
             "cop": {**DESIGN, "flow_mlpm": "300"}},
-    "hotspot-map": {"fluid": FLUID,
-                    "map": {"file": "{map}", "flow_mlpm": "30",
+    "hotspot-map": {"map": {"file": "{map}", "flow_mlpm": "30",
                             "dt_target_k": "25"}},
     "hotspot-scale": {"scale": {"base_htc_w_m2k": "57000",
                                 "base_flow_mlpm": "9.4", "n_total": "64",

@@ -168,7 +168,7 @@ class TestHotspotScale:
 class TestHotspotSynthesize:
     def test_uniform_map_symmetry(self):
         plan = hotspot_synthesize(PowerMap(np.full((3, 3), 100.0)),
-                                  60 * MLPM, 20.0, water())
+                                  60 * MLPM, 20.0)
         open_d = plan.d_mm[plan.d_mm > 0]
         assert np.allclose(open_d, open_d[0], rtol=1e-9)
         assert np.allclose(plan.m_nz_mlpm[plan.d_mm > 0],
@@ -179,7 +179,7 @@ class TestHotspotSynthesize:
         density = np.array([[100.0, 0.0, 150.0],
                             [0.0, 250.0, 0.0],
                             [80.0, 0.0, 120.0]])
-        plan = hotspot_synthesize(PowerMap(density), 50 * MLPM, 25.0, water())
+        plan = hotspot_synthesize(PowerMap(density), 50 * MLPM, 25.0)
         dp_model = NozzlePressureModel()
         active = plan.d_mm > 0
         dps = [dp_model.evaluate(d, m) for d, m in
@@ -192,13 +192,13 @@ class TestHotspotSynthesize:
 
     def test_htc_monotone_in_power_density(self):
         density = np.array([[50.0, 120.0, 200.0, 320.0]])
-        plan = hotspot_synthesize(PowerMap(density), 40 * MLPM, 25.0, water())
+        plan = hotspot_synthesize(PowerMap(density), 40 * MLPM, 25.0)
         htc = plan.htc[0]
         assert all(b >= a * (1 - 1e-9) for a, b in zip(htc, htc[1:]))
 
     def test_requirement_met_when_feasible(self):
         density = np.array([[100.0, 200.0]])
-        plan = hotspot_synthesize(PowerMap(density), 20 * MLPM, 25.0, water())
+        plan = hotspot_synthesize(PowerMap(density), 20 * MLPM, 25.0)
         if not plan.infeasible_cells:
             htc_req = density * 1e4 / 25.0
             np.testing.assert_allclose(plan.htc[plan.d_mm > 0],
@@ -213,11 +213,11 @@ class TestHotspotSynthesize:
         with pytest.raises(InvalidInputError):
             hotspot_synthesize(PowerMap(np.full((2, 2), 50.0),
                                         cell_pitch=2e-3),
-                               30 * MLPM, 20.0, water())
+                               30 * MLPM, 20.0)
         # refitted constants for the new pitch are accepted
         plan = hotspot_synthesize(
             PowerMap(np.full((2, 2), 50.0), cell_pitch=2e-3),
-            30 * MLPM, 20.0, water(),
+            30 * MLPM, 20.0,
             htc_model=HotspotHtcModel(pitch_mm=2.0),
             dp_model=NozzlePressureModel(pitch_mm=2.0))
         assert plan.flow_total_mlpm == pytest.approx(30.0, rel=1e-6)
@@ -231,4 +231,4 @@ class TestHotspotSynthesize:
                   for d in (0.2, 0.4, 0.8) for m in (2.0, 8.0, 20.0)]
         with pytest.raises(InvalidInputError, match="m_exp_d = .* gamma ="):
             hotspot_synthesize(PowerMap(np.full((2, 2), 50.0)), 30 * MLPM,
-                               20.0, water(), htc_model=fit_htc_model(points))
+                               20.0, htc_model=fit_htc_model(points))

@@ -42,7 +42,6 @@ from jetcool import explorer
 from jetcool.correlations import HotspotHtcModel, NozzlePressureModel
 from jetcool.errors import SolverError
 from jetcool.explorer import M3S_PER_MLPM, PowerMap, hotspot_synthesize
-from jetcool.props import water
 
 REFERENCE = Path(__file__).parent / "data" / "hotspot_plans.npz"
 BAND_CASES = {"mild"}
@@ -78,7 +77,7 @@ def _cases() -> dict:
 def _plan(density, pitch_mm, flow_mlpm, dt_k):
     return hotspot_synthesize(
         PowerMap(density, cell_pitch=pitch_mm * 1e-3),
-        flow_mlpm * M3S_PER_MLPM, dt_k, water(),
+        flow_mlpm * M3S_PER_MLPM, dt_k,
         htc_model=HotspotHtcModel(pitch_mm=pitch_mm),
         dp_model=NozzlePressureModel(pitch_mm=pitch_mm))
 

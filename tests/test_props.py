@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from jetcool.errors import InvalidInputError
@@ -65,6 +66,23 @@ def test_fluid_validation():
                    conductivity=0.6, reference_temp=20)
     with pytest.raises(InvalidInputError):
         SolidProps("bad", conductivity=-1.0)
+
+
+@pytest.mark.parametrize("temp, ok", [(-10.0, True), (-273.14, True),
+                                      (-273.15, False), (-300.0, False),
+                                      (np.inf, False), (np.nan, False)])
+def test_reference_temp_above_absolute_zero(temp, ok):
+    def make():
+        return FluidProps("cold", density=1100.0, viscosity=2e-3,
+                          specific_heat=3500.0, conductivity=0.5,
+                          reference_temp=temp)
+    if ok:
+        assert make().reference_temp == temp
+    else:
+        with pytest.raises(InvalidInputError,
+                           match="reference_temp must be finite and > "
+                                 "-273.15, got"):
+            make()
 
 
 def test_builtin_catalog_values():

@@ -1,8 +1,10 @@
+import dataclasses
 import sys
 
 import numpy as np
 import pytest
 
+from jetcool.cli import run
 from jetcool.errors import InvalidInputError
 from jetcool.props import water
 from jetcool.topo import (DensityField, Grid2D, Segment, TopoProblem,
@@ -19,6 +21,30 @@ def small_manifold(nx=40, ny=12):
         w = max(nx // 40, 1)
         segs.append(Segment("bottom", c - w, c + w, "outlet_pressure"))
     return Grid2D(nx, ny, 10e-3 / nx, 2e-3 / ny, segs)
+
+
+PROBLEM_FILE = """
+[grid]
+nx = 20
+ny = 6
+lx_mm = 10
+ly_mm = 2
+
+[fluid]
+name = water
+
+[problem]
+beta = 0.25
+volume_fraction = 0.4
+q = 0.01
+max_iters = 7
+
+[segments]
+list =
+    left 0 6 inlet constant 0.02
+    bottom 4 6 outlet_pressure
+    bottom 14 16 outlet_pressure
+"""
 
 
 class TestProjection:
@@ -196,10 +222,38 @@ def test_q_continuation_sharpens(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("lambda1", np.nan), ("lambda2", 0.0), ("u_ref", np.inf),
     ("u_ref", -0.01)])
-def test_problem_weights_validated(field, value):
-    with pytest.raises(InvalidInputError, match=field):
-        TopoProblem(grid=small_manifold(), fluid=water(),
-                    **{field: value})
+def test_problem_weights_validated(tmp_path, capsys, field, value):
+    # the weights are fixed, so a file that still sets one is refused
+    path = tmp_path / "problem.ini"
+    path.write_text(PROBLEM_FILE.replace("max_iters = 7\n",
+                                         f"max_iters = 7\n{field} = {value}\n"))
+    assert run(["topo", "--config", str(path),
+                "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"[problem] {field} is not a setting" in err
+    assert "adjust beta instead" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scale1, scale2", [(3.0, 0.5), (0.1, 1.0)])
+def test_rescaled_weights_are_a_beta_change(monkeypatch, scale1, scale2):
+    """Weights lambda1' = s1 lambda1, lambda2' = s2 lambda2 at beta give the
+    designs of the default weights at beta* = 1 / (1 + rho lambda2/lambda1),
+    rho = (1 - beta) lambda1' / (beta lambda2'), with J scaled."""
+    grid = small_manifold(24, 8)
+    beta = 0.1
+    base = TopoProblem(grid=grid, fluid=water(), volume_fraction=0.4)
+    lam1, lam2 = base.weights()
+    rho = (1 - beta) * scale1 * lam1 / (beta * scale2 * lam2)
+    beta_star = 1.0 / (1.0 + rho * lam2 / lam1)
+    ref = optimize(dataclasses.replace(base, beta=beta_star), max_iters=30)
+    monkeypatch.setattr(TopoProblem, "weights",
+                        lambda self: (scale1 * lam1, scale2 * lam2))
+    got = optimize(dataclasses.replace(base, beta=beta), max_iters=30)
+    assert len(got.history) == len(ref.history)
+    np.testing.assert_allclose(got.eps.eps, ref.eps.eps, rtol=0, atol=1e-12)
+    ratio = [a.J / b.J for a, b in zip(got.history, ref.history)]
+    np.testing.assert_allclose(ratio, ratio[0], rtol=1e-9)
 
 
 def test_negative_max_iters_rejected():
@@ -209,30 +263,8 @@ def test_negative_max_iters_rejected():
 
 
 def test_problem_file_roundtrip(tmp_path):
-    text = """
-[grid]
-nx = 20
-ny = 6
-lx_mm = 10
-ly_mm = 2
-
-[fluid]
-name = water
-
-[problem]
-beta = 0.25
-volume_fraction = 0.4
-q = 0.01
-max_iters = 7
-
-[segments]
-list =
-    left 0 6 inlet constant 0.02
-    bottom 4 6 outlet_pressure
-    bottom 14 16 outlet_pressure
-"""
     path = tmp_path / "problem.ini"
-    path.write_text(text)
+    path.write_text(PROBLEM_FILE)
     problem, max_iters, q_schedule = parse_problem_file(path)
     assert max_iters == 7
     assert q_schedule == ()
