@@ -41,15 +41,19 @@ def _out_dir(args) -> Path:
 
 
 def _write_payload(args, payload: dict, stem: str) -> None:
-    """Emit a report as JSON (default) or a flat key,value CSV."""
+    """Emit a report as JSON (default) or a flat key,value CSV; a number out
+    of float range exits 2 naming its key, with nothing written."""
+    rows = []
+    for key, val in payload.items():
+        if isinstance(val, dict):
+            rows += [(f"{key}.{sub}", sval) for sub, sval in val.items()]
+        else:
+            rows.append((key, val))
+    for key, val in rows:
+        if isinstance(val, float) and not math.isfinite(val):
+            raise InvalidInputError(f"{key} must be finite, got {val}")
     out = _out_dir(args)
     if args.format == "csv":
-        rows = []
-        for key, val in payload.items():
-            if isinstance(val, dict):
-                rows += [(f"{key}.{sub}", sval) for sub, sval in val.items()]
-            else:
-                rows.append((key, val))
         tables.write_csv(out / f"{stem}.csv", ("key", "value"), rows)
     else:
         tables.write_json(out / f"{stem}.json", payload)
@@ -223,8 +227,15 @@ def cmd_cop(args) -> int:
 
 def cmd_hotspot(args) -> int:
     cp = config.read(args.config)
+    scale = cp.has_section("scale")
+    check(not (scale and cp.has_section("map")), "hotspot reads one of "
+          "[scale] and [map]: with [scale], [map] would be ignored",
+          error=ConfigError)
+    check(scale or args.format == "json", "--format applies only to [scale] "
+          "reports; a [map] plan is written as nozzle_plan.csv and "
+          "hotspot_summary.json", error=ConfigError)
     out = _out_dir(args)
-    if cp.has_section("scale"):
+    if scale:
         sec = cp["scale"]
         result = explorer.hotspot_scale(
             base_htc=config.value(sec, "base_htc_w_m2k"),

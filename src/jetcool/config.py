@@ -11,7 +11,7 @@ import configparser
 import math
 
 from . import props as pr
-from .errors import ConfigError
+from .errors import ConfigError, check
 
 REQUIRED = object()   # default of a key the file must give
 
@@ -97,14 +97,23 @@ def values(sec, key: str, cast=float, default=REQUIRED) -> tuple:
     return tuple(convert(sec, key, tok, cast) for tok in tokens)
 
 
-def _named(sec, builtin, load):
+def _named(sec, builtin, load, inline: tuple[str, ...]):
     """The ``name`` entry of ``sec`` from the ``builtin()`` catalog plus the
-    optional ``catalog`` file (read with ``load``), or None without one."""
+    optional ``catalog`` file (read with ``load``), or None for an inline
+    definition by the ``inline`` keys. A section that mixes the two raises
+    ``ConfigError`` naming the entries one of them would drop."""
+    if "name" not in sec:
+        check("catalog" not in sec, "[{}] catalog is read only with a name: "
+              "set name, or drop catalog for the inline definition",
+              sec.name, error=ConfigError)
+        return None
+    dropped = ", ".join(key for key in inline if key in sec)
+    check(not dropped, "[{}] takes a name or an inline definition, not both: "
+          "name = {} would drop {}", sec.name, sec["name"], dropped,
+          error=ConfigError)
     catalog = builtin()
     if "catalog" in sec:
         catalog = {**catalog, **load(sec["catalog"])}
-    if "name" not in sec:
-        return None
     name = sec["name"]
     if name not in catalog:
         raise ConfigError(f"[{sec.name}] unknown {sec.name} {name!r}")
@@ -114,7 +123,9 @@ def _named(sec, builtin, load):
 def fluid(cp: configparser.ConfigParser) -> pr.FluidProps:
     """[fluid]: a ``name`` from the built-in or ``catalog`` CSV, or inline."""
     sec = section(cp, "fluid")
-    named = _named(sec, pr.builtin_fluids, pr.load_fluids)
+    named = _named(sec, pr.builtin_fluids, pr.load_fluids, (
+        "label", "density_kg_m3", "viscosity_kg_ms", "cp_J_kgK", "k_W_mK",
+        "ref_temp_C"))
     if named is not None:
         return named
     return pr.FluidProps(
@@ -131,6 +142,6 @@ def solid(cp: configparser.ConfigParser) -> pr.SolidProps:
     if not cp.has_section("solid"):
         return pr.silicon()
     sec = cp["solid"]
-    named = _named(sec, pr.builtin_solids, pr.load_solids)
+    named = _named(sec, pr.builtin_solids, pr.load_solids, ("k_W_mK",))
     return named if named is not None else pr.SolidProps(
         "custom", value(sec, "k_W_mK"))

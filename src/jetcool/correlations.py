@@ -121,16 +121,17 @@ def friction_predict(inputs: PredictiveInputs) -> FrictionPrediction:
     """
     a, h, t, re = (inputs.di_over_L, inputs.H_over_L, inputs.t_over_L,
                    inputs.re)
-    # an extreme t/L overflows k to inf, which the dp check reports
+    # an extreme t/L overflows k to inf, which the dp check reports; an
+    # extreme H/L overflows only the H/d_i of its flag
     with np.errstate(over="ignore", invalid="ignore"):
         t_over_di = t / a
         k = friction_re_coef(a, h, t) * re ** F_RE_EXP + K_INF
         f = k / t_over_di
-    return FrictionPrediction(f, k, _flagged(
-        ("di_over_L_out_of_range", (a < 0.05) | (a > 0.6), a),
-        ("t_over_L_out_of_range", t < 0.1, t),
-        ("H_over_di_out_of_range", h / a < 0.2, h / a),
-        ("re_out_of_range", (re < 32) | (re > 2048), re)))
+        return FrictionPrediction(f, k, _flagged(
+            ("di_over_L_out_of_range", (a < 0.05) | (a > 0.6), a),
+            ("t_over_L_out_of_range", t < 0.1, t),
+            ("H_over_di_out_of_range", h / a < 0.2, h / a),
+            ("re_out_of_range", (re < 32) | (re > 2048), re)))
 
 
 def biot_correct(nu_f: float, bi: float) -> float:
@@ -140,7 +141,10 @@ def biot_correct(nu_f: float, bi: float) -> float:
     the die; g(0) = 1 so Nu_j -> Nu_f for a vanishing chip thickness.
     """
     check((bi >= 0) & (bi < math.inf), "bi must be >= 0, got {}", bi)
-    return nu_f / g_bi(bi)
+    with np.errstate(over="ignore"):
+        g = g_bi(bi)
+    check(g < math.inf, "g(Bi) must be finite, got {} at Bi = {}", g, bi)
+    return nu_f / g
 
 
 def g_bi(bi: float) -> float:
@@ -228,9 +232,11 @@ _CATALOG_COLUMNS = dict(label=str, c=float, m=float, basis=Basis,
 def load_catalog(path: str | Path) -> dict[str, PowerLawCorrelation]:
     """Load a correlation catalog CSV.
 
-    Header ``label,c,m,pr_exponent,re_min,re_max,basis``; multi-factor rows
-    carry a ``form`` column naming the template (``power_law`` or
-    ``power_law_hd_xn``) plus ``h_over_d_exponent``/``xn_over_d_exponent``.
+    Header ``label,c,m,pr_exponent,re_min,re_max,basis``, in any order, with
+    optional ``h_over_d_exponent``/``xn_over_d_exponent`` columns; a blank
+    exponent or range cell reads as None, and a multi-factor row is one
+    with a factor exponent. Other columns, such as the built-in file's
+    ``form``, are not read.
     """
     names = list(_CATALOG_COLUMNS)
     rows = tables.read_csv(path, _CATALOG_COLUMNS, blank=names[4:],

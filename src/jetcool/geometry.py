@@ -45,14 +45,15 @@ class CoolerArray:
                           ("d_o/L", self.do_over_L)):
             check((val > 0) & (val < 1), "{} must be in (0, 1), got {}", name,
                   val, error=InvalidGeometryError)
-        for name in ("L", "d_i", "d_o", "H", "t", "tc", "nozzle_area"):
+        hf = self.heated_fraction
+        check((hf > 0) & (hf <= 1), "heated_fraction must be in (0, 1], got {}",
+              hf, error=InvalidGeometryError)
+        for name in ("L", "d_i", "d_o", "H", "t", "tc", "nozzle_area",
+                     "heated_area"):
             val = getattr(self, name)
             check((val > 0) & (val < math.inf),
                   "{} must be finite and > 0, got {}", name, val,
                   error=InvalidGeometryError)
-        hf = self.heated_fraction
-        check((hf > 0) & (hf <= 1), "heated_fraction must be in (0, 1], got {}",
-              hf, error=InvalidGeometryError)
 
     @property
     def L(self) -> float:

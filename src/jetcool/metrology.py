@@ -149,8 +149,9 @@ def gci(f1_fine: float, f2: float, f3_coarse: float, r: float = 2.0,
     """Grid convergence index from three solutions at refinement ratio r.
 
     p = ln((f3-f2)/(f2-f1))/ln r; GCI_pair = fs*r^p/(r^p-1)*|relative change|.
-    Differences must be same-signed and nonzero (oscillatory convergence is
-    out of scope); the inputs must be finite, and f1, f2 nonzero. The ratio
+    Differences must be same-signed, nonzero and shrink toward the fine grid
+    (oscillatory or divergent levels are out of scope); the inputs must be
+    finite, and f1, f2 nonzero. The ratio
     is in the asymptotic range within GCI_ASYMPTOTIC_TOL (0.05) of 1.
     """
     for name, val in (("f1", f1_fine), ("f2", f2), ("f3", f3_coarse)):
@@ -163,10 +164,10 @@ def gci(f1_fine: float, f2: float, f3_coarse: float, r: float = 2.0,
           "f1 and f2 must be nonzero: the index is relative to them")
     d32 = f3_coarse - f2
     d21 = f2 - f1_fine
-    if d32 == 0 or d21 == 0 or d32 == d21 or (d32 > 0) != (d21 > 0):
+    if d21 == 0 or (d32 > 0) != (d21 > 0) or abs(d32) <= abs(d21):
         raise NonMonotoneConvergenceError(
             f"grid-level differences {d21:g}, {d32:g} must be nonzero, "
-            "same-signed and unequal (order p != 0)")
+            "same-signed and shrink toward the fine grid (order p > 0)")
     steps = d32 / d21
     check(0 < steps < math.inf, "(f3 - f2)/(f2 - f1) must be finite and > 0, "
           "got {}", steps)

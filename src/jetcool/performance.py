@@ -117,8 +117,11 @@ def dp_curve(array: CoolerArray, fluid: pr.FluidProps):
     """
     v_unit, inputs = _jet(array, fluid, 1.0)
     q_unit = 0.5 * fluid.density * v_unit ** 2
-    a_coef = q_unit * inputs.re ** corr.F_RE_EXP * corr.friction_re_coef(
-        inputs.di_over_L, inputs.H_over_L, inputs.t_over_L)
+    with np.errstate(over="ignore"):
+        a_coef = q_unit * inputs.re ** corr.F_RE_EXP * corr.friction_re_coef(
+            inputs.di_over_L, inputs.H_over_L, inputs.t_over_L)
+    check(a_coef < math.inf, "dp(V) coefficient must be finite, got {}",
+          a_coef)
     b_coef = q_unit * corr.K_INF
     return lambda v: a_coef * v ** (2.0 + corr.F_RE_EXP) + b_coef * v * v
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
+import numpy as np
+
 from . import tables
 from .errors import check
 
@@ -74,7 +76,10 @@ def reynolds(fluid: FluidProps, d: float, v: float) -> float:
           d)
     check((v >= 0) & (v < math.inf), "velocity must be finite and >= 0, got {}",
           v)
-    return fluid.density * d * v / fluid.viscosity
+    with np.errstate(over="ignore"):
+        re = fluid.density * d * v / fluid.viscosity
+    check(re < math.inf, "Reynolds number must be finite, got {}", re)
+    return re
 
 
 def prandtl(fluid: FluidProps) -> float:
@@ -95,7 +100,10 @@ def biot(nu_f: float, t_c: float, d_i: float, k_f: float, k_s: float) -> float:
     check((nu_f >= 0) & (nu_f < math.inf) & (t_c >= 0) & (t_c < math.inf),
           "nu_f and t_c must be finite and >= 0")
     check(abs(k_f) < math.inf, "k_f must be finite, got {}", k_f)
-    return nu_f * (t_c / d_i) * (k_f / k_s)
+    with np.errstate(over="ignore"):
+        bi = nu_f * (t_c / d_i) * (k_f / k_s)
+    check(abs(bi) < math.inf, "Biot number must be finite, got {}", bi)
+    return bi
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import InfeasibleError, SolverError
 
 MAX_ITER = 200
 REL_TOL = 1e-9
@@ -55,8 +55,9 @@ def bisect_monotone(func: Callable[[np.ndarray], np.ndarray], target: float,
 
     Each row brackets its root by doubling or halving from ``guess``; then
     ``bisect_bracket`` takes all brackets at once, to a residual below
-    ``REL_TOL`` of the target magnitude. Rows with no bracket within
-    MAX_EXPANSIONS steps give nan.
+    ``REL_TOL`` of the target magnitude; a bracketed row left above it
+    raises ``SolverError``. Rows with no bracket within MAX_EXPANSIONS steps
+    give nan.
     """
     x = np.array(guess, dtype=float)
     if not (x > 0).all():
@@ -67,22 +68,30 @@ def bisect_monotone(func: Callable[[np.ndarray], np.ndarray], target: float,
     f_hi = f_lo.copy()
     active = ~(np.abs(f_lo) <= tol)
 
-    # grow the side of the bracket that still misses the target
-    for _ in range(MAX_EXPANSIONS):
-        grow = active & ~((f_lo * f_hi <= 0) & (lo < hi))
-        if not grow.any():
-            break
-        up = grow & (f_hi < 0)
-        down = grow & ~up
-        hi = np.where(up, 2.0 * hi, hi)
-        lo = np.where(down, 0.5 * lo, lo)
-        f_hi = np.where(up, func(hi) - target, f_hi)
-        f_lo = np.where(down, func(lo) - target, f_lo)
-    bracketed = active & (f_lo * f_hi <= 0) & (lo < hi)
+    # grow the side of the bracket that still misses the target; a product
+    # of residuals that overflows keeps its sign
+    with np.errstate(over="ignore"):
+        for _ in range(MAX_EXPANSIONS):
+            grow = active & ~((f_lo * f_hi <= 0) & (lo < hi))
+            if not grow.any():
+                break
+            up = grow & (f_hi < 0)
+            down = grow & ~up
+            hi = np.where(up, 2.0 * hi, hi)
+            lo = np.where(down, 0.5 * lo, lo)
+            f_hi = np.where(up, func(hi) - target, f_hi)
+            f_lo = np.where(down, func(lo) - target, f_lo)
+        bracketed = active & (f_lo * f_hi <= 0) & (lo < hi)
     result = np.where(active, np.nan, x)
     if bracketed.any():
         # a row without a bracket collapses onto x, which stops it at once
         lo, hi = np.where(bracketed, lo, x), np.where(bracketed, hi, x)
         root = bisect_bracket(lambda v: func(v) - target, lo, hi, f_lo, tol)
+        # a bracket can collapse, or run out of steps, off the target
+        missed = bracketed & ~(np.abs(func(root) - target) <= tol)
+        if missed.any():
+            raise SolverError(f"bisection left {int(missed.sum())} of "
+                              f"{int(bracketed.sum())} bracketed rows off "
+                              f"the target {target:g} by more than {tol:g}")
         result = np.where(bracketed, root, result)
     return result

@@ -14,9 +14,9 @@ Problem files are INI-style:
     [problem]
     beta = 0.5
     volume_fraction = 0.5
-    q = 0.01
-    max_iters = 100
-    ; optional: q_continuation = 0.01 0.1, alpha_assignment = fluid|literal
+    q = 0.01 0.1            ; one value, or a continuation schedule
+    max_iters = 100         ; per stage of the schedule
+    ; optional: alpha_assignment = fluid|literal
 
     [segments]
     list =
@@ -59,7 +59,8 @@ def _parse_segment(sec, line: str) -> Segment:
 
 
 def parse_problem_file(path: str | Path) -> tuple[TopoProblem, int, tuple]:
-    """Read a problem definition; returns (problem, max_iters, q_schedule)."""
+    """Read a problem file: (problem at the last q listed, max_iters, the
+    q schedule, or () for one q)."""
     cp = config.read(path)
     gsec = config.section(cp, "grid")
     nx = config.value(gsec, "nx", cast=int)
@@ -78,14 +79,16 @@ def parse_problem_file(path: str | Path) -> tuple[TopoProblem, int, tuple]:
         check(key not in psec, "[problem] {} is not a setting: the objective "
               "weights are fixed at 1/q_in^2 and mu*u_ref^2/L^2; adjust beta "
               "instead", key, error=ConfigError)
+    check("q_continuation" not in psec, "[problem] q_continuation is not a "
+          "setting: list the schedule under q", error=ConfigError)
+    schedule = config.values(psec, "q", default=(TopoProblem.q,))
     problem = TopoProblem(
         grid=grid, fluid=config.fluid(cp),
         beta=config.value(psec, "beta", 0.5),
         volume_fraction=config.value(psec, "volume_fraction", 1.0),
-        q=config.value(psec, "q", 0.01),
-        alpha_assignment=psec.get("alpha_assignment", "fluid"))
-    schedule = config.values(psec, "q_continuation", default=())
-    return problem, config.value(psec, "max_iters", 100, cast=int), schedule
+        q=schedule[-1], alpha_assignment=psec.get("alpha_assignment", "fluid"))
+    return (problem, config.value(psec, "max_iters", 100, cast=int),
+            schedule if len(schedule) > 1 else ())
 
 
 def export_density(eps: DensityField, csv_path: str | Path,

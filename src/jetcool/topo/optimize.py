@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -138,6 +139,8 @@ def _descend(problem: TopoProblem, op: StokesOperator, eps0: np.ndarray,
             status = "converged"
             break
         step = MOVE_LIMIT / g_max
+        check(step < math.inf, "step {}/max|dJ/d(eps)| must be finite, got {} "
+              "at q = {}", MOVE_LIMIT, step, problem.q)
         accepted = False
         for _ in range(BACKTRACK_TRIES):
             cand = _project(eps - step * grad, eps,

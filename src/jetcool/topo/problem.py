@@ -50,7 +50,10 @@ def inverse_permeability_deriv(eps, q: float, alpha_max: float,
                                alpha_min: float):
     """d(alpha)/d(eps) of the interpolation above."""
     arr = np.asarray(eps, dtype=float)
-    out = (alpha_min - alpha_max) * (1.0 + q) * q / (arr + q) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (alpha_min - alpha_max) * (1.0 + q) * q / (arr + q) ** 2
+    check(np.isfinite(out), "d(alpha)/d(eps) must be finite, got {} at q = {}",
+          out, q)
     return float(out) if np.isscalar(eps) else out
 
 

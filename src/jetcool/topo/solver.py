@@ -54,16 +54,13 @@ from .problem import TopoProblem
 _RESIDUAL_TOL = 1e-10
 _PRESSURE_KIND = KINDS.index("outlet_pressure")
 
-# The interior block of R takes the band path when both hold (see
-# _BandLayout). Per factorization plus a forward and a transposed solve on a
-# 2-vCPU AVX-512 VM (scipy 1.17), on two-outlet grids from 16x8 to 140x140:
-# - kl^2 / sqrt(n) <= BAND_SCORE_MAX. The band path took 0.34-0.86 of the
-#   SuperLU path's time up to 555 (140x140); larger scores are unmeasured;
-# - at most BAND_FILL_MAX band entries (8 bytes) per stored nonzero of the
-#   block. SuperLU's factors of the same grids hold 2.5-19 (12 bytes each),
-#   so the band array stays within about 2x of their size: 100x100 (46.5,
-#   47 MB against 24 MB) takes the band, 120x120 (55.7, 81 MB) SuperLU.
-BAND_SCORE_MAX = 560.0
+# The interior block of R takes the band path (see _BandLayout) with at
+# most BAND_FILL_MAX band entries (8 bytes) per stored nonzero. SuperLU's
+# factors of two-outlet grids from 16x8 to 140x140 hold 2.5-19 (12 bytes
+# each), so the band array stays within about 2x of their size: 100x100
+# (46.5, 47 MB against 24 MB) takes the band, 120x120 (55.7, 81 MB) SuperLU.
+# Below the limit the band path took 0.34-0.86 of SuperLU's time for a
+# factorization and two solves (2-vCPU AVX-512 VM, scipy 1.17).
 BAND_FILL_MAX = 50.0
 
 
@@ -143,11 +140,11 @@ class _BandLayout:
         self.value_at = cols * self.shape[0] + self.kl + self.ku + rows - cols
 
     def fits(self) -> bool:
-        """Whether the band path beats SuperLU (BAND_SCORE_MAX) without
-        outgrowing its factors (BAND_FILL_MAX). An empty block, which LAPACK
-        cannot take, goes to SuperLU."""
+        """Whether the band array stays within BAND_FILL_MAX entries per
+        stored nonzero. An empty block, which LAPACK cannot take, goes to
+        SuperLU."""
         n = self.shape[1]
-        return (n > 0 and self.kl ** 2 <= BAND_SCORE_MAX * np.sqrt(n)
+        return (n > 0
                 and self.shape[0] * n <= BAND_FILL_MAX * self.value_at.size)
 
 
@@ -573,7 +570,7 @@ class FlowSolution:
 
 
 def solve_flow(grid: Grid2D, eps: DensityField, fluid: FluidProps,
-               q: float = 0.01) -> FlowSolution:
+               q: float = TopoProblem.q) -> FlowSolution:
     """One-off Brinkman flow solve (builds the operator; for repeated solves
     on the same grid use StokesOperator or TopoProblem/optimize)."""
     check(eps.eps.shape == (grid.nx, grid.ny), "eps shape {} != grid cells {}",

@@ -12,8 +12,8 @@ import pytest
 import jetcool
 from jetcool import cli, props, topo
 from jetcool.cli import run
-from jetcool.correlations import load_catalog
-from jetcool.errors import ConfigError
+from jetcool.correlations import HotspotHtcModel, load_catalog
+from jetcool.errors import ConfigError, InvalidInputError, SolverError
 
 PREDICT_INI = """
 [geometry]
@@ -72,6 +72,34 @@ class TestPredict:
                     "--out", str(tmp_path / "out")]) == 0
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
         assert payload["inputs"]["fluid"] == "brine"
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("name = water", "name = water\ndensity_kg_m3 = 1100\nlabel = brine",
+         "[fluid] takes a name or an inline definition, not both: name = "
+         "water would drop label, density_kg_m3"),
+        ("name = water", "catalog = {fluids}\ndensity_kg_m3 = 1100\n"
+         "viscosity_kg_ms = 0.002\ncp_J_kgK = 3500\nk_W_mK = 0.5",
+         "[fluid] catalog is read only with a name: set name, or drop "
+         "catalog for the inline definition"),
+        ("name = silicon", "name = silicon\nk_W_mK = 400",
+         "[solid] takes a name or an inline definition, not both: name = "
+         "silicon would drop k_W_mK"),
+        ("name = silicon", "catalog = {solids}\nk_W_mK = 400",
+         "[solid] catalog is read only with a name: set name, or drop "
+         "catalog for the inline definition")],
+        ids=["fluid_name_inline", "fluid_catalog_inline",
+             "solid_name_inline", "solid_catalog_inline"])
+    def test_named_and_inline_mix_exit_2(self, tmp_path, capsys, old, new,
+                                         message):
+        # one half of each mix was dropped without a word
+        new = new.format(fluids=write(tmp_path, "fluids.csv", USER_FLUIDS),
+                         solids=write(tmp_path, "solids.csv",
+                                      "name,k_W_mK\ndiamond,2000\n"))
+        cfg = write(tmp_path, "p.ini", PREDICT_INI.replace(old, new))
+        assert run(["predict", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_zero_flow_exit_3(self, tmp_path, capsys):
         cfg = write(tmp_path, "p.ini",
@@ -141,8 +169,17 @@ class TestPredict:
          "error: dp must be finite, got inf"),
         ("do_over_l = 0.3", "do_over_l = 1e-77", 2,
          "error: dp_out_nozzle must be finite, got inf"),
+        ("tc_mm = 0.2", "tc_mm = 0.2\nheated_fraction = 5e-324", 2,
+         "error: heated_area must be finite and > 0, got 0.0"),
+        ("tc_mm = 0.2", "tc_mm = 0.2\nheated_fraction = 1e-308", 2,
+         "error: dT_avg_K must be finite, got inf"),
+        ("flow_mlpm = 600", "flow_mlpm = 1e308", 2,
+         "error: g(Bi) must be finite, got inf at Bi = "),
+        ("power_w = 50", "power_w = 50\ndt_max_allow = 1e308", 2,
+         "error: cop must be finite, got inf"),
     ], ids=["do_1e-308", "h_1e-308", "h_1e308", "flow_1e-308",
-            "chip_1e308", "t_1e308", "do_1e-77"])
+            "chip_1e308", "t_1e308", "do_1e-77", "heated_5e-324",
+            "heated_1e-308", "flow_1e308", "dt_max_1e308"])
     def test_extreme_input_exits_naming_the_quantity(
             self, tmp_path, capsys, old, new, code, message):
         # each ended in ZeroDivisionError or OverflowError, or wrote an inf
@@ -197,6 +234,21 @@ class TestExploreParetoCop:
                     "--out", str(tmp_path / "out")]) == code
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_unknown_constraint_mode_exit_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "e.ini", EXPLORE_INI.replace(
+            "mode = const_flow", "mode = bogus"))
+        assert run(["explore", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: [constraint] unknown mode 'bogus'\n")
+
+    def test_pareto_on_an_infeasible_sweep_exit_2(self, tmp_path, capsys):
+        src = write(tmp_path, "sweep.csv", "n,r_th_K_W,wp_W,status\n"
+                    "2,,,infeasible\n4,,,infeasible\n")
+        assert run(["pareto", "--input", src,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {src}: no usable points\n"
 
     def test_pareto_matches_brute_force(self, tmp_path):
         rng = np.random.RandomState(0)
@@ -378,6 +430,56 @@ dt_target_k = 25
         summary = json.loads(
             (tmp_path / "out" / "hotspot_summary.json").read_text())
         assert summary["flow_total_mlpm"] == pytest.approx(30.0, rel=1e-6)
+        assert summary["infeasible_cells"] == []
+
+    def test_scale_and_map_exit_2(self, tmp_path, capsys):
+        # [scale] won and [map] was never read
+        pmap = write(tmp_path, "map.csv", "100,0\n200,150\n")
+        cfg = write(tmp_path, "h.ini", "[scale]\nbase_htc_w_m2k = 57000\n"
+                    "base_flow_mlpm = 9.4\nn_total = 64\nm_nozzles = 24\n\n"
+                    f"[map]\nfile = {pmap}\nflow_mlpm = 30\n"
+                    "dt_target_k = 25\n")
+        assert run(["hotspot", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: hotspot reads one of [scale] and [map]: with [scale], "
+            "[map] would be ignored\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_map_with_csv_format_exit_2(self, tmp_path, capsys):
+        # the plan was written as JSON whatever --format said
+        pmap = write(tmp_path, "map.csv", "100,0\n200,150\n")
+        cfg = write(tmp_path, "h.ini", f"[map]\nfile = {pmap}\n"
+                    "flow_mlpm = 30\ndt_target_k = 25\n")
+        assert run(["hotspot", "--config", cfg, "--format", "csv",
+                    "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: --format applies only to [scale] reports; a [map] plan "
+            "is written as nozzle_plan.csv and hotspot_summary.json\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_wide_diameter_bounds_take_the_scan(self, tmp_path, monkeypatch):
+        # above d = 1.184 mm the htc fit's flow exponent is <= 0, so the
+        # pressure-band test cannot run and the plenum scan gives the plan
+        failed = []
+        flow_for_htc = HotspotHtcModel.flow_for_htc
+
+        def spy(self, d_mm, htc):
+            try:
+                return flow_for_htc(self, d_mm, htc)
+            except InvalidInputError as exc:
+                failed.append(str(exc))
+                raise
+
+        monkeypatch.setattr(HotspotHtcModel, "flow_for_htc", spy)
+        pmap = write(tmp_path, "map.csv", "100,0\n200,150\n")
+        cfg = write(tmp_path, "h.ini", f"[map]\nfile = {pmap}\n"
+                    "flow_mlpm = 30\ndt_target_k = 25\nd_max_mm = 1.5\n")
+        out = tmp_path / "out"
+        assert run(["hotspot", "--config", cfg, "--out", str(out)]) == 0
+        assert failed and failed[0].startswith("flow exponent")
+        summary = json.loads((out / "hotspot_summary.json").read_text())
+        assert summary["flow_total_mlpm"] == pytest.approx(30.0, rel=1e-9)
         assert summary["infeasible_cells"] == []
 
     def test_map_path_reads_no_fluid(self, tmp_path):
@@ -574,6 +676,26 @@ dt_target_k = 25
         assert message in err and other not in err
 
 
+TOPO_INI = """
+[grid]
+nx = 8
+ny = 8
+lx_mm = 2
+ly_mm = 2
+
+[fluid]
+name = water
+
+[problem]
+max_iters = 2
+
+[segments]
+list =
+    left 0 8 inlet constant 0.01
+    right 0 8 outlet_pressure
+"""
+
+
 class TestTopoCommand:
     def test_problem_run_outputs(self, tmp_path):
         cfg = write(tmp_path, "t.ini", """
@@ -622,7 +744,7 @@ name = water
 [problem]
 beta = 0.1
 volume_fraction = 0.4
-q_continuation = 0.01 1.0
+q = 0.01 1.0
 max_iters = 10
 
 [segments]
@@ -636,15 +758,49 @@ list =
         printed = capsys.readouterr().out.split("outlet flow shares:")[1]
         shares = np.array([float(tok) for tok in printed.split()])
         # the design's flow at the last stage's q, re-solved from density.csv
-        problem, _, _ = topo.parse_problem_file(cfg)
+        problem, _, schedule = topo.parse_problem_file(cfg)
+        assert schedule == (0.01, 1.0) and problem.q == 1.0
         density = np.loadtxt(out / "density.csv", delimiter=",", ndmin=2)
         eps = topo.DensityField(density[::-1].T)
-        sol = topo.solve_flow(problem.grid, eps, problem.fluid, q=1.0)
+        sol = topo.solve_flow(problem.grid, eps, problem.fluid, q=problem.q)
         flows = sol.outlet_flows()
         np.testing.assert_allclose(shares, flows / flows.sum(), rtol=1e-6)
         fields = np.loadtxt(out / "fields.csv", delimiter=",", skiprows=1)
         np.testing.assert_allclose(fields[:, 4], sol.p.ravel(), rtol=1e-6,
                                    atol=1e-9 * np.abs(sol.p).max())
+
+    def test_q_continuation_exit_2(self, tmp_path, capsys):
+        # q = 0.05 was parsed and never used: the schedule replaced it
+        cfg = write(tmp_path, "t.ini", TOPO_INI.replace(
+            "max_iters = 2", "q = 0.05\nq_continuation = 0.01 0.1\n"
+                             "max_iters = 2"))
+        assert run(["topo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: [problem] q_continuation is not a setting: list the "
+            "schedule under q\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("left 0 8", "malformed segment line: 'left 0 8'"),
+        ("left 0 8 inlet", "inlet segment needs 'profile value': "
+                           "'left 0 8 inlet'"),
+        ("left 0 8 wall constant 1", "wall segment takes no profile: "
+                                     "'left 0 8 wall constant 1'"),
+        ("middle 0 8 inlet constant 0.01", "unknown side 'middle'"),
+        ("left 0 8 inlet cubic 0.01", "unknown profile 'cubic'")],
+        ids=["short", "no_profile", "extra_profile", "side", "profile"])
+    def test_bad_segment_line_exit_2(self, tmp_path, capsys, line, message):
+        cfg = write(tmp_path, "t.ini", TOPO_INI.replace(
+            "left 0 8 inlet constant 0.01", line))
+        assert run(["topo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unknown_alpha_assignment_exit_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "t.ini", TOPO_INI.replace(
+            "max_iters = 2", "alpha_assignment = bogus\nmax_iters = 2"))
+        assert run(["topo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: alpha_assignment must be 'fluid' or 'literal', got "
+            "'bogus'\n")
 
     def test_malformed_segment_exit_2(self, tmp_path, capsys):
         cfg = write(tmp_path, "t.ini", """
@@ -865,6 +1021,16 @@ class TestReduceGci:
                     "[gci]\nf1 = 1.0\nf2 = 0.9\nf3 = 1.1\n")
         assert run(["gci", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
+    def test_gci_divergent_exit_3(self, tmp_path, capsys):
+        # the differences grow toward the fine grid: p = -1.32 and negative
+        # indices were reported with exit 0
+        cfg = write(tmp_path, "g.ini", "[gci]\nf1 = 1\nf2 = 1.5\nf3 = 1.7\n")
+        assert run(["gci", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "infeasible: grid-level differences 0.5, 0.2 must be nonzero, "
+            "same-signed and shrink toward the fine grid (order p > 0)\n")
+        assert not (tmp_path / "o").exists()
+
     def test_gci_zero_value_exit_2(self, tmp_path, capsys):
         cfg = write(tmp_path, "g.ini",
                     "[gci]\nf1 = 0\nf2 = 0.9\nf3 = 1.0\n")
@@ -872,10 +1038,12 @@ class TestReduceGci:
         assert "f1 and f2 must be nonzero" in capsys.readouterr().err
 
     @pytest.mark.parametrize("values, code, message", [
-        ("1e308 0.9 0.7", 2, "error: GCI_23 = -5.5555555555555e-310 and "
-         "r^p * GCI_12 = -0.0 must be finite, the latter nonzero"),
+        # divergent levels (p < 0), where r^p underflowed
+        ("1e308 0.9 0.7", 3, "infeasible: grid-level differences -1e+308, "
+         "-0.2 must be nonzero, same-signed and shrink toward the fine grid "
+         "(order p > 0)"),
         ("1 2 3", 3, "infeasible: grid-level differences 1, 1 must be "
-         "nonzero, same-signed and unequal (order p != 0)"),
+         "nonzero, same-signed and shrink toward the fine grid (order p > 0)"),
         ("1 1.000000000000001 1e308", 2, "error: (f3 - f2)/(f2 - f1) must be "
          "finite and > 0, got inf")],
         ids=["r_p_underflow", "p_0", "steps_overflow"])
@@ -1210,6 +1378,22 @@ class TestCommandLine:
         assert err.startswith("usage: jetcool ")
         assert err.endswith(f"error: unrecognized arguments: {flag}\n")
         assert not (tmp_path / "out").exists()
+
+    def test_unreadable_config_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "nosuch.ini"
+        assert run(["gci", "--config", str(missing),
+                    "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read config file {str(missing)!r}\n")
+
+    def test_solver_error_exit_4(self, tmp_path, capsys, monkeypatch):
+        def fail(args):
+            raise SolverError("no convergence")
+
+        monkeypatch.setattr(cli, "cmd_gci", fail)
+        assert run(["gci", "--config", "g.ini",
+                    "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == "solver failure: no convergence\n"
 
     def test_usage_error_and_help_return_their_codes(self, capsys):
         assert run(["predict", "--config", "p.ini", "--bogus"]) == 2

@@ -231,7 +231,7 @@ class TestSolid:
         with pytest.raises(ConfigError, match=r"\[solid\] unknown solid 'x'"):
             self.solid("[solid]\nname = x\n")
         with pytest.raises(FileNotFoundError):
-            self.solid(f"[solid]\nk_W_mK = 400\n"
+            self.solid(f"[solid]\nname = diamond\n"
                        f"catalog = {tmp_path / 'nosuch.csv'}\n")
 
 

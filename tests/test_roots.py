@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetcool.errors import InfeasibleError
+from jetcool.errors import InfeasibleError, SolverError
 from jetcool.roots import REL_TOL, bisect_bracket, bisect_monotone
 
 
@@ -13,6 +13,17 @@ def test_bisect_monotone_solves_all_rows_at_once():
     np.testing.assert_allclose(x[:3], [3.0, 1.5, 1.0], rtol=REL_TOL)
     assert x[2] == 1.0                  # the guess already meets the target
     assert np.isnan(x[3])               # root 3e150 lies beyond 2**120
+
+
+def test_bisect_monotone_rejects_a_root_off_its_target():
+    # the second row jumps over the target at x = 2, where its bracket
+    # collapses with the residual still 1
+    def func(v):
+        return v + np.array([0.0, 2.0]) * (v > 2.0)
+
+    with pytest.raises(SolverError, match="left 1 of 2 bracketed rows off "
+                                          "the target 3"):
+        bisect_monotone(func, 3.0, guess=1.0)
 
 
 def test_bisect_monotone_needs_a_positive_guess():

@@ -201,11 +201,11 @@ def test_drag_length_validated():
             op.solve(np.ones(size))
 
 
-@pytest.mark.parametrize("score_max, path", [(np.inf, "band"),
-                                             (0.0, "splu")])
-def test_singular_system_is_a_solver_error(score_max, path):
+@pytest.mark.parametrize("fill_max, path", [(np.inf, "band"),
+                                            (0.0, "splu")])
+def test_singular_system_is_a_solver_error(fill_max, path):
     grid = channel(8)
-    with mock.patch.object(solver, "BAND_SCORE_MAX", score_max):
+    with mock.patch.object(solver, "BAND_FILL_MAX", fill_max):
         op = StokesOperator(grid, water().viscosity)
     assert (op.null_space.band is not None) == (path == "band")
     # without its viscous part and without drag the reduced system is zero
@@ -226,13 +226,13 @@ def test_poisson_solves_per_state_and_adjoint():
     assert poisson.solve.call_count == 1
 
 
-@pytest.mark.parametrize("score_max, path", [(np.inf, "band"),
-                                             (0.0, "splu")])
-def test_interior_solves_per_factor_state_and_adjoint(score_max, path):
+@pytest.mark.parametrize("fill_max, path", [(np.inf, "band"),
+                                            (0.0, "splu")])
+def test_interior_solves_per_factor_state_and_adjoint(fill_max, path):
     # factor solves R_ii against all border columns at once and keeps the
     # result, so that state() and adjoint() each make one interior solve
     grid = manifold_grid()
-    with mock.patch.object(solver, "BAND_SCORE_MAX", score_max):
+    with mock.patch.object(solver, "BAND_FILL_MAX", fill_max):
         op = StokesOperator(grid, water().viscosity)
     ns = op.null_space
     assert (ns.band is not None) == (path == "band") and ns.n_border == 3
