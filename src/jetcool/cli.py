@@ -27,6 +27,7 @@ from .errors import (ConfigError, InfeasibleError, InvalidInputError,
                      SolverError, check)
 from .explorer import M3S_PER_MLPM
 from .geometry import HEATED_FRACTION_DEFAULT, array_from_ratios
+from .props import silicon
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -100,7 +101,8 @@ def cmd_predict(args) -> int:
     sec = config.section(cp, "operating")
     op = performance.OperatingPoint(
         flow_total=config.value(sec, "flow_mlpm", scale=M3S_PER_MLPM),
-        chip_power=config.value(sec, "power_w", 0.0))
+        chip_power=config.value(sec, "power_w",
+                                performance.OperatingPoint.chip_power))
     dt_max = config.value(sec, "dt_max_allow",
                           performance.DT_MAX_ALLOW_DEFAULT)
     report = performance.evaluate_design(array, fluid, solid, op, dt_max)
@@ -255,13 +257,15 @@ def cmd_hotspot(args) -> int:
     density = tables.read_grid(config.value(sec, "file", cast=str))
     power_map = explorer.PowerMap(
         density_w_cm2=density,
-        cell_pitch=config.value(sec, "pitch_mm", 1.0, scale=1e-3))
+        cell_pitch=config.value(sec, "pitch_mm",
+                                explorer.PowerMap.cell_pitch * 1e3,
+                                scale=1e-3))
     plan = explorer.hotspot_synthesize(
         power_map,
         flow_total=config.value(sec, "flow_mlpm", scale=M3S_PER_MLPM),
         dT_target=config.value(sec, "dt_target_k"),
-        bounds=(config.value(sec, "d_min_mm", 0.1),
-                config.value(sec, "d_max_mm", 0.9)))
+        bounds=(config.value(sec, "d_min_mm", explorer.NOZZLE_BOUNDS_MM[0]),
+                config.value(sec, "d_max_mm", explorer.NOZZLE_BOUNDS_MM[1])))
     tables.write_csv(
         out / "nozzle_plan.csv",
         ("row", "col", "power_W_cm2", "d_mm", "m_nz_mlpm", "htc_W_m2K"),
@@ -369,7 +373,7 @@ def cmd_reduce(args) -> int:
     dT = metrology.sensor_to_dT(smap, off)
     chip = metrology.ChipStack(
         t_c=config.value(head, "tc_mm", scale=1e-3),
-        k_s=config.value(head, "k_s_w_mk", 149.0),
+        k_s=config.value(head, "k_s_w_mk", silicon().conductivity),
         a_heater=config.value(head, "heater_area_cm2", scale=1e-4))
     red = metrology.reduce(
         dT, power=config.value(head, "power_w"),
@@ -389,7 +393,8 @@ def cmd_gci(args) -> int:
     sec = config.section(cp, "gci")
     result = metrology.gci(
         f1_fine=config.value(sec, "f1"), f2=config.value(sec, "f2"),
-        f3_coarse=config.value(sec, "f3"), r=config.value(sec, "r", 2.0),
+        f3_coarse=config.value(sec, "f3"),
+        r=config.value(sec, "r", metrology.GCI_REFINEMENT_RATIO),
         fs=config.value(sec, "fs", metrology.GCI_SAFETY_FACTOR))
     payload = result._asdict()
     _write_payload(args, payload, "gci")

@@ -190,6 +190,8 @@ def hotspot_scale(base_htc: float, base_flow_per_nozzle: float, n_sq: int,
 # hotspot-targeted nozzle synthesis
 
 M3S_PER_MLPM = 1e-6 / 60.0
+#: default nozzle-diameter bounds of ``hotspot_synthesize`` [mm]
+NOZZLE_BOUNDS_MM = (0.1, 0.9)
 
 
 @dataclass(frozen=True)
@@ -246,7 +248,7 @@ def _lambert_w(log_z):
 
 def hotspot_synthesize(power_map: PowerMap, flow_total: float,
                        dT_target: float,
-                       bounds: tuple[float, float] = (0.1, 0.9),
+                       bounds: tuple[float, float] = NOZZLE_BOUNDS_MM,
                        htc_model: corr.HotspotHtcModel | None = None,
                        dp_model: corr.NozzlePressureModel | None = None) -> NozzlePlan:
     """Choose per-cell nozzle diameters for a uniform target temperature rise.

@@ -22,6 +22,8 @@ DIODE_SENSITIVITY_MV_C = -1.55
 TCR_PER_C = 3553e-6
 #: three-grid-level safety factor for the convergence index
 GCI_SAFETY_FACTOR = 1.25
+#: default grid refinement ratio between successive levels
+GCI_REFINEMENT_RATIO = 2.0
 #: largest |asymptotic_ratio - 1| still counted as the asymptotic range
 GCI_ASYMPTOTIC_TOL = 0.05
 
@@ -144,7 +146,8 @@ class GciResult(NamedTuple):
     in_asymptotic_range: bool
 
 
-def gci(f1_fine: float, f2: float, f3_coarse: float, r: float = 2.0,
+def gci(f1_fine: float, f2: float, f3_coarse: float,
+        r: float = GCI_REFINEMENT_RATIO,
         fs: float = GCI_SAFETY_FACTOR) -> GciResult:
     """Grid convergence index from three solutions at refinement ratio r.
 

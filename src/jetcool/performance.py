@@ -82,20 +82,28 @@ def evaluate_design(array: CoolerArray, fluid: pr.FluidProps,
     nu_j = corr.biot_correct(nu_f, bi)
     htc = corr.nu_to_htc(nu_j, array.d_i, fluid.conductivity)
     r_th = 1.0 / (htc * array.heated_area)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt_avg = op.chip_power * r_th
+    check(dt_avg < math.inf, "dT_avg must be finite, got {} K at chip_power "
+          "{} W and r_th {} K/W", dt_avg, op.chip_power, r_th)
     friction = corr.friction_predict(inputs)
     dp = friction.k * 0.5 * fluid.density * v_bar ** 2
     w_p = op.flow_total * dp
     check(dp < math.inf, "dp must be finite, got {}", dp)
     check(w_p > 0, "pump power must be > 0, got {} at flow_total {} m3/s",
           w_p, op.flow_total, error=NoFlowError)
+    with np.errstate(over="ignore"):
+        cop = (dt_max_allow / r_th) / w_p
+    check(cop < math.inf, "cop must be finite, got {} at dt_max_allow {} K",
+          cop, dt_max_allow)
     r_star, _, _ = normalize(r_th, w_p, op.flow_total, array.area)
     warns = ([tuple(dict.fromkeys(a + b)) for a, b
               in zip(nu_warns, friction.warnings)] if isinstance(nu_warns, list)
              else tuple(dict.fromkeys(nu_warns + friction.warnings)))
     return PerformanceReport(
         re=inputs.re, pr=pr.prandtl(fluid), nu_f=nu_f, bi=bi, nu_j=nu_j,
-        htc=htc, r_th=r_th, r_star=r_star, dT_avg=op.chip_power * r_th, dp=dp,
-        w_p=w_p, cop=(dt_max_allow / r_th) / w_p, v_nozzle=v_bar,
+        htc=htc, r_th=r_th, r_star=r_star, dT_avg=dt_avg, dp=dp, w_p=w_p,
+        cop=cop, v_nozzle=v_bar,
         flow_per_nozzle=flow_pn, warnings=warns)
 
 

@@ -38,6 +38,7 @@ from ..errors import ConfigError, InvalidInputError, check
 # fails without it. Drop it with the next change to that target list.
 from ..props import builtin_fluids  # noqa: F401
 from .grid import DensityField, Grid2D, Segment
+from .optimize import MAX_ITERS_DEFAULT
 from .problem import TopoProblem
 from .solver import FlowSolution
 
@@ -84,11 +85,13 @@ def parse_problem_file(path: str | Path) -> tuple[TopoProblem, int, tuple]:
     schedule = config.values(psec, "q", default=(TopoProblem.q,))
     problem = TopoProblem(
         grid=grid, fluid=config.fluid(cp),
-        beta=config.value(psec, "beta", 0.5),
-        volume_fraction=config.value(psec, "volume_fraction", 1.0),
-        q=schedule[-1], alpha_assignment=psec.get("alpha_assignment", "fluid"))
-    return (problem, config.value(psec, "max_iters", 100, cast=int),
-            schedule if len(schedule) > 1 else ())
+        beta=config.value(psec, "beta", TopoProblem.beta),
+        volume_fraction=config.value(psec, "volume_fraction",
+                                     TopoProblem.volume_fraction),
+        q=schedule[-1], alpha_assignment=psec.get(
+            "alpha_assignment", TopoProblem.alpha_assignment))
+    max_iters = config.value(psec, "max_iters", MAX_ITERS_DEFAULT, cast=int)
+    return problem, max_iters, schedule if len(schedule) > 1 else ()
 
 
 def export_density(eps: DensityField, csv_path: str | Path,

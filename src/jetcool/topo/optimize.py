@@ -15,6 +15,7 @@ from .problem import TopoProblem
 from .solver import FlowSolution, StokesOperator
 
 MOVE_LIMIT = 0.2
+MAX_ITERS_DEFAULT = 100
 BACKTRACK_TRIES = 10
 FLAT_REL_TOL = 1e-6
 FLAT_RUN = 5
@@ -81,7 +82,7 @@ def _project(candidate: np.ndarray, previous: np.ndarray,
 
 
 def optimize(problem: TopoProblem, eps0: DensityField | None = None,
-             max_iters: int = 100,
+             max_iters: int = MAX_ITERS_DEFAULT,
              q_schedule: tuple[float, ...] = ()) -> OptimizeResult:
     """Minimize the weighted objective over the density field.
 
@@ -123,7 +124,7 @@ def _descend(problem: TopoProblem, op: StokesOperator, eps0: np.ndarray,
     def evaluate(e: np.ndarray):
         field = DensityField(e)
         sol = op.solve(problem.alpha(e).ravel())
-        return field, sol, objective(problem, field, sol)
+        return field, sol, objective(problem, sol)
 
     field, sol, val = evaluate(eps)
     history.append(HistoryRow(offset, val.J, val.J1, val.J2,

@@ -20,8 +20,10 @@ per grid; the same matrix gives u_p, once per grid. R's interior block is
 factored as a LAPACK band LU under a reverse Cuthill-McKee order (Cuthill &
 McKee 1969) computed once per grid, or with SuperLU when its band would be
 too large; the few stream-function values of wall runs between outlets
-border it and are eliminated through a Schur complement. ``factor`` hides
-all of this behind ``state()`` and the velocity-only ``adjoint(rhs)``.
+border it and are eliminated through a Schur complement. ``NullSpaceLU``
+hides all of this behind ``state()`` and the velocity-only ``adjoint(rhs)``.
+Each ``FlowSolution`` carries the face alpha and the velocity-gradient
+samples of its flow, which the dissipation and its gradient both read.
 
 Boundary treatment: velocity-type faces are Dirichlet; tangential velocity
 at velocity-type boundaries uses linear-reflection ghosts (formal order 2 of
@@ -37,7 +39,7 @@ first, then v faces, each in C order of its (x, y) array; cells in C order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -262,18 +264,6 @@ class _NullSpace:
         band = _BandLayout(rows[:a], cols[:a], ni)
         self.band = band if band.fits() else None
 
-    def factor_interior(self, values: np.ndarray):
-        """LU factors of the interior block, band or SuperLU."""
-        if self.band is not None:
-            return BandLU(self.band, values)
-        ni = self.n_interior
-        try:
-            return spla.splu(sp.csc_matrix((values, self.indices,
-                                            self.indptr), shape=(ni, ni)))
-        except RuntimeError as exc:
-            raise SolverError(
-                f"singular Stokes-Brinkman system: {exc}") from exc
-
 
 class NullSpaceLU:
     """Factors of k_base + diag(drag) through its null-space system.
@@ -291,12 +281,34 @@ class NullSpaceLU:
     so a reduced solve in either direction makes one interior solve.
     """
 
-    def __init__(self, ns: _NullSpace, d: np.ndarray, interior,
-                 lower: np.ndarray, schur: np.ndarray, coupling: np.ndarray):
+    def __init__(self, ns: _NullSpace, drag: np.ndarray):
+        """Fill R from the drag, factor its interior block on the path the
+        operator chose, and eliminate the border through the Schur
+        complement of that block."""
         self.ns = ns
-        self.d = d
-        self.interior = interior     # BandLU or SuperLU of the interior block
-        self.lower, self.schur, self.coupling = lower, schur, coupling
+        self.d = drag[:ns.s.size]
+        values = ns.base + ns.drag_map @ self.d
+        a, b = ns.split
+        ni, nb = ns.n_interior, ns.n_border
+        if ns.band is not None:
+            self.interior = BandLU(ns.band, values[:a])
+        else:
+            try:
+                self.interior = spla.splu(sp.csc_matrix(
+                    (values[:a], ns.indices, ns.indptr), shape=(ni, ni)))
+            except RuntimeError as exc:
+                raise SolverError(
+                    f"singular Stokes-Brinkman system: {exc}") from exc
+        self.lower = np.zeros((nb, ni))
+        self.lower.flat[ns.lower_at] = values[a:b]
+        right = np.zeros((ni + nb, nb))
+        right.flat[ns.right_at] = values[b:]
+        self.coupling = self.interior.solve(right[:ni])
+        try:
+            self.schur = np.linalg.inv(right[ni:] - self.lower @ self.coupling)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(
+                f"singular Stokes-Brinkman system: {exc}") from exc
 
     def _reduced(self, rhs: np.ndarray) -> np.ndarray:
         """Solve R psi = rhs by block elimination of the interior block:
@@ -334,31 +346,6 @@ class NullSpaceLU:
         on the free faces."""
         ns = self.ns
         return ns.basis @ self._reduced_t(ns.basis_t @ rhs) / ns.s
-
-
-def factor(op: "StokesOperator", drag: np.ndarray) -> NullSpaceLU:
-    """Factors of op.k_base + diag(drag), for ``state()`` and ``adjoint``.
-
-    Fills the reduced matrix R from the drag, factors its interior block on
-    the path the operator chose, and eliminates the border through the
-    Schur complement of that block."""
-    ns = op.null_space
-    d = drag[:ns.s.size]
-    values = ns.base + ns.drag_map @ d
-    a, b = ns.split
-    ni, nb = ns.n_interior, ns.n_border
-    interior = ns.factor_interior(values[:a])
-    lower = np.zeros((nb, ni))
-    lower.flat[ns.lower_at] = values[a:b]
-    right = np.zeros((ni + nb, nb))
-    right.flat[ns.right_at] = values[b:]
-    upper, corner = right[:ni], right[ni:]
-    coupling = interior.solve(upper)
-    try:
-        schur = np.linalg.inv(corner - lower @ coupling)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"singular Stokes-Brinkman system: {exc}") from exc
-    return NullSpaceLU(ns, d, interior, lower, schur, coupling)
 
 
 class StokesOperator:
@@ -514,8 +501,9 @@ class StokesOperator:
         return self.alpha_avg @ alpha
 
     def solve(self, alpha_cells: np.ndarray) -> "FlowSolution":
-        drag = self.drag(alpha_cells)
-        lu = factor(self, drag)
+        alpha = np.asarray(alpha_cells, dtype=float).ravel()
+        drag = self.drag(alpha)
+        lu = NullSpaceLU(self.null_space, drag)
         x = lu.state()
         if not np.all(np.isfinite(x)):
             raise SolverError("non-finite solution (singular or ill-posed "
@@ -526,21 +514,21 @@ class StokesOperator:
         if residual > _RESIDUAL_TOL:
             raise SolverError(f"direct solve residual {residual:g} exceeds "
                               f"{_RESIDUAL_TOL:g}")
-        return FlowSolution(self, x, lu, residual)
+        return FlowSolution(self, x, lu, residual, self.alpha_face @ alpha)
 
 
 @dataclass
 class FlowSolution:
-    """Velocity/pressure state plus the factorization it came from."""
+    """Velocity/pressure state plus the factorization it came from, and the
+    two arrays the dissipation is a quadrature over: ``alpha_face``, the
+    alpha the flow was solved with averaged to the faces, and ``grad``, the
+    velocity-gradient samples ``op.grad_op @ x_all``."""
 
     op: StokesOperator
     x: np.ndarray
-    lu: NullSpaceLU          # from factor(); serves the adjoint
+    lu: NullSpaceLU          # serves the adjoint
     residual: float
-    # (problem, design, parts) of the objective's last dissipation
-    # quadratures on this solution (see objective._dissipation_parts)
-    dissipation_memo: tuple | None = field(default=None, init=False,
-                                           repr=False, compare=False)
+    alpha_face: np.ndarray
 
     def __post_init__(self) -> None:
         g = self.op.grid
@@ -550,6 +538,7 @@ class FlowSolution:
         self.v = x_all[nfu:].reshape(g.nx, g.ny + 1)
         self.p = self.x[self.op.p_offset:].reshape(g.nx, g.ny)
         self.x_all = x_all
+        self.grad = self.op.grad_op @ x_all
 
     def outlet_flows(self) -> np.ndarray:
         """Outward flux through each outlet segment [m2/s per unit depth]."""

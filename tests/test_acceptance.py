@@ -210,7 +210,7 @@ class TestCriterion10Topo:
 
             def J_of(e):
                 sol = op.solve(problem.alpha(e).ravel())
-                return topo.objective(problem, topo.DensityField(e), sol).J
+                return topo.objective(problem, sol).J
 
             sol = op.solve(problem.alpha(eps0).ravel())
             g = topo.gradient(problem, topo.DensityField(eps0), sol)

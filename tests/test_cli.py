@@ -172,11 +172,11 @@ class TestPredict:
         ("tc_mm = 0.2", "tc_mm = 0.2\nheated_fraction = 5e-324", 2,
          "error: heated_area must be finite and > 0, got 0.0"),
         ("tc_mm = 0.2", "tc_mm = 0.2\nheated_fraction = 1e-308", 2,
-         "error: dT_avg_K must be finite, got inf"),
+         "error: dT_avg must be finite, got inf K at chip_power 50.0 W"),
         ("flow_mlpm = 600", "flow_mlpm = 1e308", 2,
          "error: g(Bi) must be finite, got inf at Bi = "),
         ("power_w = 50", "power_w = 50\ndt_max_allow = 1e308", 2,
-         "error: cop must be finite, got inf"),
+         "error: cop must be finite, got inf at dt_max_allow 1e+308 K"),
     ], ids=["do_1e-308", "h_1e-308", "h_1e308", "flow_1e-308",
             "chip_1e308", "t_1e308", "do_1e-77", "heated_5e-324",
             "heated_1e-308", "flow_1e308", "dt_max_1e308"])
@@ -887,6 +887,42 @@ list =
         err = capsys.readouterr().err
         assert err.startswith("error: the viscous coefficients ")
         assert coefficient in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("beta, q, code, message", [
+        ("0.5", "5e-324", 2, "error: dJ/d(eps) underflows to 0 at q = 5e-324"
+                             ": max |d(alpha)/d(eps)| is "),
+        ("0", "0.01", 0, "")], ids=["underflow", "j_zero"])
+    def test_zero_gradient_converges_only_without_underflow(
+            self, tmp_path, capsys, beta, q, code, message):
+        # at q = 5e-324 the gradient underflowed to exactly 0 and the run
+        # reported status=converged; with beta = 0 and one outlet J is 0
+        # and its zero gradient is a true stationary point
+        cfg = write(tmp_path, "t.ini", f"""
+[grid]
+nx = 12
+ny = 4
+lx_mm = 3
+ly_mm = 1
+
+[fluid]
+name = water
+
+[problem]
+beta = {beta}
+volume_fraction = 0.5
+q = {q}
+
+[segments]
+list =
+    left 0 4 inlet constant 0.01
+    right 0 4 outlet_pressure
+""")
+        assert run(["topo", "--config", cfg, "--out", str(tmp_path / "o")]) \
+            == code
+        out, err = capsys.readouterr()
+        assert err.startswith(message) and "Traceback" not in err
+        if code == 0:
+            assert out.startswith("status=converged iterations=0 J=0\n")
 
     def test_selftest(self, capsys):
         assert run(["topo", "--selftest"]) == 0

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from jetcool.errors import (InvalidInputError, NoFlowError,
@@ -77,6 +78,23 @@ def test_dt_max_allow_must_be_positive_and_finite(quad_array, dt_max):
     with pytest.raises(InvalidInputError, match="dt_max_allow"):
         evaluate_design(quad_array, water(), silicon(),
                         OperatingPoint(flow_total=600 * MLPM), dt_max)
+
+
+@pytest.mark.parametrize("flow", [600 * MLPM, np.full(3, 600 * MLPM)],
+                         ids=["scalar", "array"])
+@pytest.mark.parametrize("heated_fraction, dt_max, message", [
+    (1e-308, 60.0, r"dT_avg must be finite, got inf K at chip_power 50\.0 W"),
+    (0.75, 1e308, r"cop must be finite, got inf at dt_max_allow 1e\+308 K")],
+    ids=["heated_1e-308", "dt_max_1e308"])
+def test_non_finite_dt_avg_or_cop_rejected(flow, heated_fraction, dt_max,
+                                           message):
+    # both were returned as inf
+    array = array_from_ratios(8e-3, 4, 0.3, 0.3, 0.3, 0.1, 0.2e-3,
+                              heated_fraction)
+    with pytest.raises(InvalidInputError, match=message):
+        evaluate_design(array, water(), silicon(),
+                        OperatingPoint(flow_total=flow, chip_power=50.0),
+                        dt_max)
 
 
 def test_r_star_scale_invariance(quad_array):

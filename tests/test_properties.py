@@ -208,8 +208,7 @@ def test_adjoint_gradient_matches_finite_differences(field, beta):
     op = solver.StokesOperator(problem.grid, problem.mu)
 
     def j_of(e):
-        return objective(problem, DensityField(e),
-                         op.solve(problem.alpha(e))).J
+        return objective(problem, op.solve(problem.alpha(e))).J
 
     g = gradient(problem, DensityField(eps), op.solve(problem.alpha(eps)))
     g_fd = np.zeros_like(eps)

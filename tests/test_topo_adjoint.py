@@ -23,7 +23,7 @@ def two_outlet_grid(nx, ny):
 def fd_gradient(problem, op, eps0, h=FD_STEP):
     def J_of(e):
         sol = op.solve(problem.alpha(e).ravel())
-        return objective(problem, DensityField(e), sol).J
+        return objective(problem, sol).J
 
     g = np.zeros_like(eps0)
     for i in range(eps0.shape[0]):
@@ -103,6 +103,37 @@ def test_gradient_refuses_bad_solution():
     sol.residual = 1.0    # simulate a non-converged state
     with pytest.raises(SolverError):
         gradient(problem, DensityField(eps), sol)
+
+
+class Unusable:
+    """Stands in for an operator that must no longer be applied."""
+
+    def __matmul__(self, other):
+        raise AssertionError("operator applied after the solve")
+
+    def __getattr__(self, name):
+        raise AssertionError(f"operator attribute {name} used after the solve")
+
+
+def test_objective_and_gradient_read_the_solution(monkeypatch):
+    # each flow solution carries its face alpha and velocity-gradient
+    # samples, so neither the value nor the gradient applies the operators
+    # that formed them again
+    grid = two_outlet_grid(8, 4)
+    problem = TopoProblem(grid=grid, fluid=water(), beta=0.5,
+                          volume_fraction=1.0)
+    op = StokesOperator(grid, problem.mu)
+    eps = DensityField(np.random.RandomState(1).uniform(0.2, 0.8, (8, 4)))
+    alpha = problem.alpha(eps.eps).ravel()
+    ref = op.solve(alpha)
+    want, want_grad = objective(problem, ref), gradient(problem, eps, ref)
+    sol = op.solve(alpha)
+    monkeypatch.setattr(op, "grad_op", Unusable())
+    monkeypatch.setattr(op, "alpha_face", Unusable())
+    got = objective(problem, sol)
+    assert (got.J, got.J1, got.J2) == (want.J, want.J1, want.J2)
+    np.testing.assert_array_equal(got.outlet_flows, want.outlet_flows)
+    np.testing.assert_array_equal(gradient(problem, eps, sol), want_grad)
 
 
 def test_literal_alpha_assignment():

@@ -229,21 +229,24 @@ def test_poisson_solves_per_state_and_adjoint():
 @pytest.mark.parametrize("fill_max, path", [(np.inf, "band"),
                                             (0.0, "splu")])
 def test_interior_solves_per_factor_state_and_adjoint(fill_max, path):
-    # factor solves R_ii against all border columns at once and keeps the
-    # result, so that state() and adjoint() each make one interior solve
+    # the factorization solves R_ii against all border columns at once and
+    # keeps the result, so that state() and adjoint() each make one
+    # interior solve
     grid = manifold_grid()
     with mock.patch.object(solver, "BAND_FILL_MAX", fill_max):
         op = StokesOperator(grid, water().viscosity)
     ns = op.null_space
     assert (ns.band is not None) == (path == "band") and ns.n_border == 3
-    factor_interior = ns.factor_interior
     made = []
 
-    def spy(values):
-        made.append(mock.Mock(wraps=factor_interior(values)))
-        return made[-1]
+    def spy(factorize):
+        def wrapped(*args, **kwargs):
+            made.append(mock.Mock(wraps=factorize(*args, **kwargs)))
+            return made[-1]
+        return wrapped
 
-    with mock.patch.object(ns, "factor_interior", spy):
+    with (mock.patch.object(solver, "BandLU", spy(solver.BandLU)),
+          mock.patch.object(solver.spla, "splu", spy(solver.spla.splu))):
         sol = op.solve(np.ones(grid.n_cells))
     interior, = made
     factor_call, state_call = interior.solve.call_args_list
