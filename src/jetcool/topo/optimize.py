@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import check
+from ..errors import SolverError, check
 from .grid import DensityField
 from .objective import gradient, objective
 from .problem import TopoProblem
@@ -49,14 +49,19 @@ def _project(candidate: np.ndarray, previous: np.ndarray,
     bounds. Newton steps on that slope, bisecting a bracket in [-1, 0]
     whenever a step leaves it, reach its root once a step leaves every cell
     on the same side of its bounds (Held, Wolfe & Crowder 1974); t is then
-    stepped down until the clipped mean is at most the volume."""
+    stepped down until the clipped mean is at most the volume. When the
+    shift -1 still leaves the mean above the volume, the bracket opens at
+    the shift that puts every cell on its lower bound; if even that breaks
+    the volume, no point is feasible and ``SolverError`` is raised."""
     lo_bound = np.maximum(previous - move_limit, 0.0)
     hi_bound = np.minimum(previous + move_limit, 1.0)
     clipped = np.clip(candidate, lo_bound, hi_bound)
     if clipped.mean() <= volume_fraction + 1e-15:
         return clipped
     n = candidate.size
-    lo, hi = -1.0, 0.0       # V(lo) <= volume < V(hi); -1 empties the field
+    lo, hi = -1.0, 0.0       # V(lo) <= volume < V(hi)
+    if np.clip(candidate + lo, lo_bound, hi_bound).mean() > volume_fraction:
+        lo = min(lo, float((lo_bound - candidate).min()))
     t, sides, newton = 0.0, None, False
     for _ in range(100):
         shifted = candidate + t
@@ -78,6 +83,11 @@ def _project(candidate: np.ndarray, previous: np.ndarray,
     while out.mean() > volume_fraction and t > lo:
         t, down = max(t - down, lo), 2.0 * down
         out = np.clip(candidate + t, lo_bound, hi_bound)
+    if out.mean() > volume_fraction:
+        raise SolverError(
+            f"no design within the move limit {move_limit:g} meets the volume "
+            f"fraction {volume_fraction:g}: the least mean is "
+            f"{lo_bound.mean():g}")
     return out
 
 

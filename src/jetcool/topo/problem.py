@@ -38,6 +38,10 @@ def inverse_permeability(eps, q: float, alpha_max: float,
     intermediate densities are (small q biases strongly toward fluid).
     """
     check(0 < q < np.inf, "q must be finite and > 0, got {}", q)
+    # for q below about 5.6e-17, s rounds to 1 for every eps well above q
+    check(0.5 * (1.0 + q) / (0.5 + q) < 1.0, "q = {} is too small: "
+          "eps (1 + q)/(eps + q) rounds to 1 for every eps >= 1/2, so "
+          "alpha(eps) is a step", q)
     arr = np.asarray(eps, dtype=float)
     check((arr >= -1e-12) & (arr <= 1 + 1e-12), "eps must lie in [0, 1]")
     s = arr * (1.0 + q) / (arr + q)

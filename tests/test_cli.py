@@ -888,15 +888,27 @@ list =
         assert err.startswith("error: the viscous coefficients ")
         assert coefficient in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("beta, q, code, message", [
-        ("0.5", "5e-324", 2, "error: dJ/d(eps) underflows to 0 at q = 5e-324"
-                             ": max |d(alpha)/d(eps)| is "),
-        ("0", "0.01", 0, "")], ids=["underflow", "j_zero"])
+    @pytest.mark.parametrize("beta, q, fluid, code, stream", [
+        ("0.5", "0.01", "viscosity_kg_ms = 1e-300", 2,
+         "error: dJ/d(eps) underflows to 0 at q = 0.01: max |d(alpha)/d(eps)| "
+         "is "),
+        ("0", "0.01", "name = water", 0, "status=converged iterations=0 J=0\n"),
+        ("0.5", "1e-30", "name = water", 2,
+         "error: q = 1e-30 is too small: eps (1 + q)/(eps + q) rounds to 1 "
+         "for every eps >= 1/2, so alpha(eps) is a step\n"),
+        ("0.5", "5e-324", "name = water", 2, "error: q = 5e-324 is too small"),
+        ("0.5", "1e-12", "name = water", 0, "status=converged ")],
+        ids=["underflow", "j_zero", "tiny_q", "subnormal_q", "small_q"])
     def test_zero_gradient_converges_only_without_underflow(
-            self, tmp_path, capsys, beta, q, code, message):
-        # at q = 5e-324 the gradient underflowed to exactly 0 and the run
-        # reported status=converged; with beta = 0 and one outlet J is 0
-        # and its zero gradient is a true stationary point
+            self, tmp_path, capsys, beta, q, fluid, code, stream):
+        # a gradient that underflows to exactly 0 (here through viscosity
+        # 1e-300) once read as status=converged, at q = 5e-324. At q = 1e-30
+        # alpha(eps) is a step, and the run read status=stationary; both
+        # q now stop where alpha is formed. With beta = 0 and one outlet J
+        # is 0 and its zero gradient is a true stationary point
+        if fluid.startswith("viscosity"):
+            fluid = ("density_kg_m3 = 1000\ncp_J_kgK = 4180\nk_W_mK = 0.6\n"
+                     + fluid)
         cfg = write(tmp_path, "t.ini", f"""
 [grid]
 nx = 12
@@ -905,7 +917,7 @@ lx_mm = 3
 ly_mm = 1
 
 [fluid]
-name = water
+{fluid}
 
 [problem]
 beta = {beta}
@@ -920,9 +932,8 @@ list =
         assert run(["topo", "--config", cfg, "--out", str(tmp_path / "o")]) \
             == code
         out, err = capsys.readouterr()
-        assert err.startswith(message) and "Traceback" not in err
-        if code == 0:
-            assert out.startswith("status=converged iterations=0 J=0\n")
+        assert (err if code else out).startswith(stream)
+        assert "Traceback" not in err
 
     def test_selftest(self, capsys):
         assert run(["topo", "--selftest"]) == 0

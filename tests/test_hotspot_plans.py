@@ -8,8 +8,20 @@ in Lambert's W) instead of the best of 160 sampled diameters, and each cell
 is solved by a safeguarded Newton iteration instead of a bisection. Both
 stop at the same 1e-12 relative htc tolerance, so the ``mild``, ``strong``
 and ``acceptance`` plans moved inside it, and the one ``unreachable`` cell
-moved from the best sample to the true peak. The file is written by running
-this file as a script from the repository root::
+moved from the best sample to the true peak.
+
+It was re-recorded again by the change after commit 9911da6 that finds the
+plenum pressure by regula falsi (``roots.bracket_root``) in ln dp instead
+of bisecting it (in dp inside the band, in ln dp on the scan). The root
+stops at the same flow tolerances, 1e-12 of the target inside the band and
+1e-9 on the scan, at a different point inside them. The flags did not
+change; the largest relative changes were 1.6e-12 (``mild``, in
+``m_nz_mlpm``), 6.8e-09 (``strong``, in ``m_nz_mlpm``) and 2e-10 or less
+for the other cases.
+
+The file is written by running this file as a script from the repository
+root, which prints how far each plan moved and refuses to write if any
+case's flags change::
 
     PYTHONPATH=src python tests/test_hotspot_plans.py
 
@@ -28,9 +40,8 @@ but jetcool. The maps cover both plenum-pressure paths and both flag kinds:
   diameter cools enough (``htc_unreachable``);
 - ``pitch2``: a uniform 2x2 map at 2 mm pitch with refitted models.
 
-Band-path plans must match exactly. The scan takes its midpoints in
-``log dp``, so scan-path plans must match to 1e-13 relative, and ``dp`` to
-1e-14 relative.
+Band-path plans must match exactly. Scan-path plans must match to 1e-13
+relative, and ``dp`` to 1e-14 relative.
 """
 
 from pathlib import Path
@@ -82,19 +93,43 @@ def _plan(density, pitch_mm, flow_mlpm, dt_k):
         dp_model=NozzlePressureModel(pitch_mm=pitch_mm))
 
 
+def _recorded(plan) -> dict:
+    """The arrays of one plan, as the reference file stores them."""
+    arrays = {field: getattr(plan, field) for field in FIELDS}
+    arrays["dp"] = np.array(plan.dp)
+    arrays["flow_total_mlpm"] = np.array(plan.flow_total_mlpm)
+    arrays["infeasible_cells"] = np.array(plan.infeasible_cells,
+                                          dtype=int).reshape(-1, 2)
+    arrays["warnings"] = np.array(plan.warnings, dtype=str)
+    return arrays
+
+
+def _largest_rel_change(new: np.ndarray, old: np.ndarray) -> float:
+    scale = np.where(old != 0, np.abs(old), 1.0)
+    return float(np.max(np.abs(new - old) / scale, initial=0.0))
+
+
 def write_reference(path: Path = REFERENCE) -> None:
-    arrays = {}
+    """Record every case, after printing how far each plan moved from the
+    file it replaces. Refuses to write when a case's flags change."""
+    old = np.load(path) if path.exists() else None
+    arrays, changed = {}, []
     for name, (density, pitch_mm, flow_mlpm, dt_k) in _cases().items():
-        plan = _plan(density, pitch_mm, flow_mlpm, dt_k)
+        plan = _recorded(_plan(density, pitch_mm, flow_mlpm, dt_k))
         arrays[f"{name}.density"] = density
         arrays[f"{name}.settings"] = np.array([pitch_mm, flow_mlpm, dt_k])
-        for field in FIELDS:
-            arrays[f"{name}.{field}"] = getattr(plan, field)
-        arrays[f"{name}.dp"] = np.array(plan.dp)
-        arrays[f"{name}.flow_total_mlpm"] = np.array(plan.flow_total_mlpm)
-        arrays[f"{name}.infeasible_cells"] = np.array(
-            plan.infeasible_cells, dtype=int).reshape(-1, 2)
-        arrays[f"{name}.warnings"] = np.array(plan.warnings, dtype=str)
+        arrays.update((f"{name}.{key}", value) for key, value in plan.items())
+        if old is None or f"{name}.dp" not in old.files:
+            print(f"{name}: new case")
+            continue
+        moved = ", ".join(
+            f"{key} {_largest_rel_change(plan[key], old[f'{name}.{key}']):.2g}"
+            for key in (*FIELDS, "dp"))
+        print(f"{name}: largest relative change {moved}")
+        changed += [f"{name}.{key}" for key in ("infeasible_cells", "warnings")
+                    if not np.array_equal(plan[key], old[f"{name}.{key}"])]
+    if changed:
+        raise SystemExit(f"not written: {', '.join(changed)} changed")
     path.parent.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(path, **arrays)
 
@@ -173,13 +208,27 @@ def test_plan_meets_each_cell_or_sits_at_the_htc_peak(name):
 
 @pytest.mark.parametrize("name", ["mild", "strong"])
 def test_plan_off_its_flow_raises_solver_error(monkeypatch, name):
-    # both paths end in bisect_bracket: a band-path dp or a scan-path log dp
-    bisect = explorer.bisect_bracket
-    monkeypatch.setattr(explorer, "bisect_bracket",
-                        lambda *args: 1.01 * bisect(*args))
+    # both paths end in bracket_root on ln dp: shifting its root by 0.01
+    # moves dp by 1 %
+    root = explorer.bracket_root
+    monkeypatch.setattr(explorer, "bracket_root",
+                        lambda *args: root(*args) + 0.01)
     with pytest.raises(SolverError, match=r"delivers \S+ mL/min, not the "
                        r"target 340\.0 mL/min"):
         _plan(*_cases()[name])
+
+
+@pytest.mark.parametrize("name, most", [("mild", 12), ("strong", 14)])
+def test_plan_solves_the_cells_a_few_times(monkeypatch, name, most):
+    """Each solve of the cells at one or more plenum pressures takes one
+    htc peak; with a bisection of the pressure, ``mild`` took 43 and
+    ``strong`` 28."""
+    peaks = []
+    lambert_w = explorer._lambert_w
+    monkeypatch.setattr(explorer, "_lambert_w",
+                        lambda log_z: peaks.append(1) or lambert_w(log_z))
+    _plan(*_cases()[name])
+    assert len(peaks) <= most
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ from hypothesis.extra.numpy import arrays
 
 from jetcool.explorer import (ConstraintKind, ConstraintMode, DesignSpace,
                               sweep)
+from jetcool.errors import SolverError
 from jetcool.geometry import array_from_ratios
 from jetcool.performance import OperatingPoint, evaluate_design
 from jetcool.props import silicon, water
@@ -232,14 +233,15 @@ def _fields(*ranges):
 
 
 def _bisected(candidate, previous, volume, move_limit):
-    """Reference projection: bisect the shift in [-1, 0] down to adjacent
-    floats and keep the side whose clipped mean is at most the volume."""
+    """Reference projection: bisect the shift down to adjacent floats, from
+    [-1, 0] or from the shift that puts every cell on its lower bound, and
+    keep the side whose clipped mean is at most the volume."""
     lo_bound = np.maximum(previous - move_limit, 0.0)
     hi_bound = np.minimum(previous + move_limit, 1.0)
     clipped = np.clip(candidate, lo_bound, hi_bound)
     if clipped.mean() <= volume + 1e-15:
         return clipped, False
-    lo, hi = -1.0, 0.0
+    lo, hi = min(-1.0, (lo_bound - candidate).min()), 0.0
     while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
         if np.clip(candidate + mid, lo_bound, hi_bound).mean() > volume:
@@ -273,6 +275,25 @@ def test_projected_step_is_feasible(fields, move_limit, slack):
     candidate = previous + move_limit * direction
     out = _project(candidate, previous, volume, move_limit)
     assert_projection(out, candidate, previous, volume, move_limit)
+
+
+@SETTINGS
+@given(_fields((0.0, 1.0), (-5.0, 5.0)), st.floats(0.01, 1.0))
+# the shift -1 leaves the mean at 0.5: the projection returned that point
+@example((np.full((1, 10), 0.3), np.r_[np.full(5, 3.0), np.zeros(5)][None]),
+         0.3)
+def test_projected_unrestricted_step_is_feasible(fields, volume):
+    # a step without a move limit projects with a move limit of 1, and its
+    # candidate can lie far outside [0, 1]
+    previous, candidate = fields
+    out = _project(candidate, previous, volume, 1.0)
+    assert_projection(out, candidate, previous, volume, 1.0)
+
+
+def test_projection_without_a_feasible_point_raises():
+    # every cell may fall by at most 0.2 from 1: the mean stays >= 0.8
+    with pytest.raises(SolverError, match="the least mean is 0.8"):
+        _project(np.ones((2, 4)), np.ones((2, 4)), 0.3, 0.2)
 
 
 @SETTINGS

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetcool.errors import InfeasibleError, SolverError
-from jetcool.roots import REL_TOL, bisect_bracket, bisect_monotone
+from jetcool.roots import (LAG_STEPS, MAX_ITER, REL_TOL, bisect_bracket,
+                           bisect_monotone, bracket_root)
 
 
 def test_bisect_monotone_solves_all_rows_at_once():
@@ -57,3 +60,87 @@ def test_bisect_bracket_on_an_array_equals_each_row(rows, tol):
                               float(row(lo[i])), tol)
         assert type(want) is float
         assert got[i] == want
+
+
+# -- bracket_root -----------------------------------------------------------
+
+def _cubic(root, slope):
+    """Smooth and increasing; flat at the root when the slope is 0."""
+    return lambda x: (x - root) * (slope + (x - root) ** 2)
+
+
+def _tanh(root, steepness):
+    """Smooth and increasing, and close to a step when steep."""
+    return lambda x: math.tanh(steepness * (x - root))
+
+
+def _clamped(root, kinks):
+    """Piecewise linear and nondecreasing, like a total of cell flows that
+    clamp at their bounds; zero at the root."""
+    def total(x):
+        return sum(min(max(slope * (x - at), -cap), cap)
+                   for at, slope, cap in kinks)
+    return lambda x: total(x) - total(root)
+
+
+kinks = st.lists(st.tuples(st.floats(-60.0, 60.0), st.floats(1e-3, 1e3),
+                           st.floats(1e-4, 1e2)), min_size=1, max_size=12)
+shapes = st.one_of(
+    st.builds(lambda slope: ("cubic", slope),
+              st.sampled_from([0.0, 1e-3]) | st.floats(1e-3, 1e3)),
+    st.builds(lambda steep: ("tanh", steep), st.floats(1e-2, 1e4)),
+    st.builds(lambda ks: ("clamped", ks), kinks))
+
+
+def _bracketed(shape, root, below, above, sign):
+    kind, arg = shape
+    make = {"cubic": _cubic, "tanh": _tanh, "clamped": _clamped}[kind]
+    inner = make(root, arg)
+    calls = []
+
+    def func(x):
+        calls.append(x)
+        return sign * inner(x)
+    return func, root - below, root + above, calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=shapes, root=st.floats(-50.0, 50.0), below=widths,
+       above=widths, sign=st.sampled_from([1.0, -1.0]),
+       rel_tol=st.sampled_from([0.0, 1e-14, 1e-9, 1e-4]))
+# a triple root: regula falsi alone crawls to it from one side
+@example(shape=("cubic", 0.0), root=0.3, below=1.0, above=10.0, sign=1.0,
+         rel_tol=0.0)
+def test_bracket_root_stops_on_a_root_within_the_bisection_steps(
+        shape, root, below, above, sign, rel_tol):
+    """A float in [lo, hi] with |f| <= tol, or a bracket collapsed to
+    round-off around it, or MAX_ITER steps; and at most LAG_STEPS + 2 more
+    evaluations than bisection needs to collapse the same bracket. Brackets
+    may lie on either side of 0, as ln-space brackets do."""
+    func, lo, hi, calls = _bracketed(shape, root, below, above, sign)
+    f_lo, f_hi = func(lo), func(hi)
+    tol = rel_tol * max(abs(f_lo), abs(f_hi))
+    calls.clear()
+    x = bracket_root(func, lo, hi, f_lo, f_hi, tol)
+    evals = len(calls)
+    assert type(x) is float and lo <= x <= hi
+    f_x = func(x)
+    near = max(1e-15 * abs(x), np.spacing(abs(x)))
+    collapsed = any(f * f_x <= 0 for f in (func(x - near), func(x + near)))
+    assert abs(f_x) <= tol or collapsed or evals == MAX_ITER
+    calls.clear()
+    bisect_bracket(func, lo, hi, f_lo, -1.0)      # no residual stops it
+    assert evals <= len(calls) + LAG_STEPS + 2
+
+
+def test_bracket_root_uses_the_residuals_it_is_given():
+    calls = []
+
+    def func(x):
+        calls.append(x)
+        return x ** 3 - 2.0
+
+    x = bracket_root(func, 0.0, 2.0, -2.0, 6.0, 1e-12)
+    assert abs(x ** 3 - 2.0) <= 1e-12 and 0.0 not in calls and 2.0 not in calls
+    assert len(calls) <= 12
+    assert bracket_root(func, 0.0, 2.0, -2.0, 0.0, 0.0) == 2.0
